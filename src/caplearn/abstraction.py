@@ -130,7 +130,10 @@ class AtomUniverse:
 
     The ordering is lexicographic by predicate name, then by the object-name
     tuple, so rebuilding from the same definition always yields identical
-    bit positions. Instances are immutable and safe to share.
+    bit positions. Canonical atom names map to bits by dict lookup; other
+    spellings, such as ``clean( l1 )``, are parsed. `encode` memoizes the
+    successful encodes of frozensets (environment states). The memo holds a
+    pure function, so instances stay immutable from outside and safe to share.
     """
 
     def __init__(
@@ -169,9 +172,15 @@ class AtomUniverse:
             raise ConfigurationError("duplicate ground atoms (duplicate object names?)")
         self.num_atoms = len(self.atoms)
         self.full_mask = (1 << self.num_atoms) - 1
+        self._names: tuple[str, ...] = tuple(str(a) for a in atoms)
+        self._index_of_name: dict[str, int] = {n: i for i, n in enumerate(self._names)}
+        self._encoded: dict[frozenset, AbstractState] = {}
 
     def atom_index(self, atom: GroundAtom | str) -> int:
         if isinstance(atom, str):
+            got = self._index_of_name.get(atom)
+            if got is not None:
+                return got
             atom = GroundAtom.parse(atom)
         try:
             return self.index[atom]
@@ -179,10 +188,12 @@ class AtomUniverse:
             raise EncodingError(f"unknown atom: {atom}") from None
 
     def encode(self, atoms: Iterable[GroundAtom | str]) -> AbstractState:
-        bits = 0
-        for atom in atoms:
-            bits |= 1 << self.atom_index(atom)
-        return AbstractState(bits, self.num_atoms)
+        if not isinstance(atoms, frozenset):
+            return AbstractState(self.mask_of(atoms), self.num_atoms)
+        got = self._encoded.get(atoms)
+        if got is None:
+            got = self._encoded[atoms] = AbstractState(self.mask_of(atoms), self.num_atoms)
+        return got
 
     def decode(self, state: AbstractState) -> tuple[GroundAtom, ...]:
         if state.num_atoms != self.num_atoms:
@@ -190,7 +201,13 @@ class AtomUniverse:
         return tuple(self.atoms[i] for i in state.atom_indices())
 
     def atom_names(self, state: AbstractState) -> list[str]:
-        return [str(a) for a in self.decode(state)]
+        if state.num_atoms != self.num_atoms:
+            raise DimensionError("state does not belong to this universe")
+        return self.names_of(state.bits)
+
+    def names_of(self, mask: int) -> list[str]:
+        """Names of the atoms whose bits are set in `mask`, in atom order."""
+        return [name for i, name in enumerate(self._names) if mask >> i & 1]
 
     def mask_of(self, atoms: Iterable[GroundAtom | str]) -> int:
         bits = 0

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .abstraction import AbstractState, AbstractionFn, AtomUniverse
 
@@ -105,9 +105,6 @@ class TransitionDataset:
         t = Transition(seq[0], capability, seq[-1])
         return t, self.add(t)
 
-    def transitions_for(self, capability: str) -> set[Transition]:
-        return self._by_cap.get(capability, set())
-
     def transitions_from(self, capability: str, state: AbstractState) -> set[Transition]:
         return self._by_cap_state.get((capability, state), set())
 
@@ -123,10 +120,6 @@ class TransitionDataset:
     def state_visit_count(self, state: AbstractState) -> int:
         """Total recorded transitions that start in `state`, across capabilities."""
         return self._state_counts.get(state, 0)
-
-    def merge(self, other: "TransitionDataset") -> None:
-        for t, n in other.counts.items():
-            self.add(t, n)
 
     # -- JSON-lines persistence ------------------------------------------
 
@@ -168,10 +161,3 @@ class TransitionDataset:
     @classmethod
     def load(cls, path: str | Path, universe: AtomUniverse) -> "TransitionDataset":
         return cls.from_jsonl(Path(path).read_text(), universe)
-
-
-def unique_transitions(datasets: Iterable[TransitionDataset]) -> set[Transition]:
-    out: set[Transition] = set()
-    for ds in datasets:
-        out.update(ds.counts)
-    return out

@@ -99,9 +99,3 @@ def sd_reward(d1: StateDistribution, d2: StateDistribution) -> float:
     for s in sup1 ^ sup2:
         total += 0.5 * d1.mass(s) + 0.5 * d2.mass(s)
     return total
-
-
-def support_pair(
-    d1: StateDistribution, d2: StateDistribution
-) -> tuple[frozenset[AbstractState], frozenset[AbstractState]]:
-    return d1.support(), d2.support()

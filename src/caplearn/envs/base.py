@@ -1,9 +1,10 @@
 """Simulator and scripted-agent machinery shared by the built-in environments.
 
-Environment states are frozensets of ground-atom names; the abstraction
-encodes them against the environment's universe. All stochasticity lives in
-the simulator's RNG, which can be snapshotted and restored so reverting to a
-previously encountered state reproduces trajectory suffixes exactly.
+Environment states are frozensets of ground-atom names. The abstraction,
+simulator and agent all map them to bits through the universe's memoized
+`encode`. All stochasticity lives in the simulator's RNG, which can be
+snapshotted and restored so reverting to a previously encountered state
+reproduces trajectory suffixes exactly.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ class AtomSimulator:
             raise ValueError("duplicate action names")
         self._rng = Random(f"{seed}/sim")
         self._state = self._reset_state
-        self._bits_cache: dict[frozenset[str], int] = {}
 
     @property
     def current(self) -> EnvState:
@@ -75,26 +75,19 @@ class AtomSimulator:
     def revert(self, state: EnvState) -> None:
         self._state = frozenset(state)
 
-    def _bits(self, atoms: frozenset[str]) -> int:
-        got = self._bits_cache.get(atoms)
-        if got is None:
-            got = self.universe.mask_of(atoms)
-            self._bits_cache[atoms] = got
-        return got
-
     def applicable(self, action: str, state: EnvState | None = None) -> bool:
         atoms = self._state if state is None else frozenset(state)
-        return self.actions[action].precondition.accepts_bits(self._bits(atoms))
+        return self.actions[action].precondition.accepts_bits(self.universe.encode(atoms).bits)
 
     def available_actions(self, state: EnvState | None = None) -> list[str]:
         atoms = self._state if state is None else frozenset(state)
-        bits = self._bits(atoms)
+        bits = self.universe.encode(atoms).bits
         return [n for n, a in self.actions.items() if a.precondition.accepts_bits(bits)]
 
     def step(self, action: str) -> EnvState:
         """Apply `action`; an inapplicable action leaves the state unchanged."""
         adef = self.actions[action]
-        if not adef.precondition.accepts_bits(self._bits(self._state)):
+        if not adef.precondition.accepts_bits(self.universe.encode(self._state).bits):
             return self._state
         u = self._rng.random()
         acc = 0.0
@@ -125,6 +118,7 @@ class TableAgent:
     def __init__(self, universe: AtomUniverse, table: Mapping[str, Sequence[str]]) -> None:
         self.universe = universe
         self.table: dict[str, tuple[str, ...]] = {k: tuple(v) for k, v in table.items()}
+        self._intent_keys: dict[LiteralConjunction, str] = {}
 
     def attempt(
         self,
@@ -136,10 +130,12 @@ class TableAgent:
         if simulator.current != start:
             simulator.revert(start)
         traj = [start]
-        bits = simulator._bits(frozenset(start))
+        bits = self.universe.encode(frozenset(start)).bits
         if intent.satisfied_by(bits) or horizon < 1:
             return traj
-        key = literal_string(intent, self.universe)
+        key = self._intent_keys.get(intent)
+        if key is None:
+            key = self._intent_keys[intent] = literal_string(intent, self.universe)
         for action in self.table.get(key, ()):
             if simulator.applicable(action):
                 traj.append(simulator.step(action))

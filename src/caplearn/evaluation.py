@@ -105,7 +105,8 @@ def sampled_vd(agent_ds: TransitionDataset, model_ds: TransitionDataset) -> floa
     """Mean absolute difference of conditional transition ratios.
 
     Ranges over the union of unique transitions; a missing (s, c) marginal
-    contributes ratio 0 for that dataset.
+    contributes ratio 0 for that dataset. Terms are summed in a fixed order,
+    so the result does not depend on the process's string-hash seed.
     """
     union = set(agent_ds.counts) | set(model_ds.counts)
     if not union:
@@ -113,7 +114,7 @@ def sampled_vd(agent_ds: TransitionDataset, model_ds: TransitionDataset) -> floa
     me = _marginals(agent_ds)
     mm = _marginals(model_ds)
     total = 0.0
-    for t in union:
+    for t in sorted(union, key=lambda t: (t.c, t.s.bits, t.s_next.bits)):
         key = (t.s, t.c)
         ne = me.get(key, 0)
         nm = mm.get(key, 0)

@@ -271,8 +271,8 @@ def _condition_to_json(cond: Condition, universe: AtomUniverse) -> dict:
         "negated": cond.negated,
         "clauses": [
             {
-                "pos": [str(universe.atoms[i]) for i in range(universe.num_atoms) if cl.positives >> i & 1],
-                "neg": [str(universe.atoms[i]) for i in range(universe.num_atoms) if cl.negatives >> i & 1],
+                "pos": universe.names_of(cl.positives),
+                "neg": universe.names_of(cl.negatives),
             }
             for cl in cond.clauses
         ],
@@ -296,8 +296,8 @@ def model_to_json(model: CapabilityModel) -> str:
             {
                 "name": cap.name,
                 "intent": {
-                    "pos": [str(u.atoms[i]) for i in range(u.num_atoms) if cap.intent.positives >> i & 1],
-                    "neg": [str(u.atoms[i]) for i in range(u.num_atoms) if cap.intent.negatives >> i & 1],
+                    "pos": u.names_of(cap.intent.positives),
+                    "neg": u.names_of(cap.intent.negatives),
                 },
                 "rules": [
                     {
@@ -305,8 +305,8 @@ def model_to_json(model: CapabilityModel) -> str:
                         "effects": [
                             {
                                 "p": p,
-                                "add": [str(u.atoms[i]) for i in range(u.num_atoms) if e.add >> i & 1],
-                                "del": [str(u.atoms[i]) for i in range(u.num_atoms) if e.delete >> i & 1],
+                                "add": u.names_of(e.add),
+                                "del": u.names_of(e.delete),
                             }
                             for p, e in r.effects
                         ],

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from random import Random
 from typing import Mapping, Sequence
 
@@ -23,11 +24,11 @@ from .distributions import StateDistribution, tv_distance
 from .model import CapabilityModel, predict
 
 
-def uct_score(q: float, n_parent: int, n_edge: int, kappa: float) -> float:
-    """UCT selection score; an unvisited edge ranks above every visited one."""
+def uct_score(q: float, log_n_parent: float, n_edge: int, kappa: float) -> float:
+    """UCT score given log N(parent); an unvisited edge ranks above every visited one."""
     if n_edge == 0:
         return math.inf
-    return q + kappa * math.sqrt(math.log(n_parent) / n_edge)
+    return q + kappa * math.sqrt(log_n_parent / n_edge)
 
 
 @dataclass(frozen=True)
@@ -36,11 +37,12 @@ class StatePolicy:
 
     mapping: tuple[tuple[AbstractState, str], ...]
 
+    @cached_property
+    def _table(self) -> dict[AbstractState, str]:
+        return dict(self.mapping)
+
     def lookup(self, state: AbstractState) -> str | None:
-        for s, c in self.mapping:
-            if s == state:
-                return c
-        return None
+        return self._table.get(state)
 
     def as_dict(self) -> dict[AbstractState, str]:
         return dict(self.mapping)
@@ -141,10 +143,6 @@ class _DistNode:
         self.value = self.reward
 
 
-def _support_key(d1: StateDistribution, d2: StateDistribution):
-    return (d1.support(), d2.support())
-
-
 def synthesize_exact(
     s0: AbstractState,
     m_pess: CapabilityModel,
@@ -169,7 +167,7 @@ def synthesize_exact(
     sp = _CachedStepper(m_pess)
     so = _CachedStepper(m_opt)
     root = _DistNode(StateDistribution.point(s0), StateDistribution.point(s0), caps)
-    seen_supports = {_support_key(root.dist_p, root.dist_o)}
+    seen_supports = {(root.dist_p.support(), root.dist_o.support())}
 
     def rollout_value(node: _DistNode, used_depth: int) -> float:
         total = 0.0
@@ -195,7 +193,7 @@ def synthesize_exact(
                 cap = node.untried.pop(0)
                 child_p = sp.push(node.dist_p, cap)
                 child_o = so.push(node.dist_o, cap)
-                key = _support_key(child_p, child_o)
+                key = (child_p.support(), child_o.support())
                 if key in seen_supports:
                     continue
                 seen_supports.add(key)
@@ -205,8 +203,9 @@ def synthesize_exact(
                 break
             best_cap = None
             best = -math.inf
+            log_n = math.log(max(node.n, 1))
             for cap in node.children:
-                score = uct_score(node.q.get(cap, 0.0), max(node.n, 1), node.n_edge[cap], kappa)
+                score = uct_score(node.q.get(cap, 0.0), log_n, node.n_edge[cap], kappa)
                 if score > best:
                     best, best_cap = score, cap
             child = node.children[best_cap]
@@ -354,8 +353,9 @@ def synthesize_sampled(
                     break
             if cap is None:
                 best = -math.inf
+                log_n = math.log(node.n)
                 for c in vc:
-                    score = uct_score(node.q[c], node.n, node.n_edge[c], kappa)
+                    score = uct_score(node.q[c], log_n, node.n_edge[c], kappa)
                     if score > best:
                         best, cap = score, c
             s2, r = sample_step(node.state, cap)

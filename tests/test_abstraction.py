@@ -97,6 +97,27 @@ class TestEncodeDecode:
         assert {str(a) for a in u.decode(u.encode(subset))} == subset
 
 
+class TestEncodeMemo:
+    def test_repeated_frozenset_matches_uncached_encode(self, vacuum_universe):
+        u = vacuum_universe
+        state = frozenset({"charged(robot)", "clean(l2)"})
+        first, second = u.encode(state), u.encode(state)
+        assert first == second == u.encode(list(state))
+        assert u.names_of(first.bits) == ["charged(robot)", "clean(l2)"]
+
+    def test_unknown_atom_raises_every_time(self, two_atom_universe):
+        state = frozenset({"clean(l1)", "clean(l9)"})
+        for _ in range(2):
+            with pytest.raises(EncodingError, match="clean\\(l9\\)"):
+                two_atom_universe.encode(state)
+
+    def test_non_canonical_spelling_parses(self, vacuum_universe):
+        u = vacuum_universe
+        spaced = frozenset({" at( charger , robot )", "clean( l1 )"})
+        assert u.encode(spaced) == u.encode(["at(charger,robot)", "clean(l1)"])
+        assert u.atom_index("clean( l1 )") == u.atom_index("clean(l1)")
+
+
 class TestLiteralOf:
     def test_all_zero_state(self, two_atom_universe):
         lit = literal_of(two_atom_universe.encode([]))

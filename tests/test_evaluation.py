@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
 from random import Random
 
 import pytest
 
+import caplearn
 from caplearn.abstraction import Condition, LiteralConjunction
 from caplearn.dataset import EffectPair, Transition, TransitionDataset
 from caplearn.envs import vacuum_world
@@ -60,6 +65,34 @@ class TestSampledVd:
             d2, _ = random_dataset(u, rng, caps=2, transitions=rng.randint(0, 15))
             assert sampled_vd(d1, d2) == pytest.approx(sampled_vd(d2, d1))
             assert sampled_vd(d1, d1) == 0.0
+
+    def test_same_value_under_any_string_hash_seed(self):
+        # Transition hashes include the capability string, so set order and
+        # a naive sum's rounding would change with PYTHONHASHSEED.
+        code = """
+from random import Random
+from caplearn import AbstractState, Transition, TransitionDataset, sampled_vd
+rng = Random(7)
+pair = []
+for _ in range(2):
+    ds = TransitionDataset()
+    for _ in range(300):
+        s, s2 = (AbstractState(rng.randrange(16), 4) for _ in range(2))
+        ds.add(Transition(s, f"cap{rng.randrange(5)}", s2), rng.randint(1, 7))
+    pair.append(ds)
+print(repr(sampled_vd(*pair)))
+"""
+        src = str(Path(caplearn.__file__).resolve().parent.parent)
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", code],
+                env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+                capture_output=True, text=True, check=True, timeout=120,
+            ).stdout
+            for seed in ("1", "2")
+        ]
+        assert outputs[0] == outputs[1]
 
 
 class TestModelReplay:

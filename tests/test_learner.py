@@ -236,6 +236,14 @@ class TestRun:
         ]
         assert [r.novel for r in log1.records] == [r.novel for r in log2.records]
 
+    def test_encode_memo_leaves_model_unchanged(self):
+        cached = vacuum_world(seed="5/env")
+        uncached = vacuum_world(seed="5/env")
+        uncached.abstraction = lambda x: uncached.universe.encode(list(x))
+        m1, _ = run(self._config(), cached)
+        m2, _ = run(self._config(), uncached)
+        assert model_to_json(m1) == model_to_json(m2)
+
     def test_models_stay_sound_and_complete_after_every_rebuild(self):
         b = vacuum_world(seed="9/env")
         checked = [0]

@@ -33,13 +33,13 @@ from .conftest import small_universe
 
 class TestUctScore:
     def test_zero_log_numerator(self):
-        assert uct_score(0.0, 1, 1, math.sqrt(2)) == 0.0
+        assert uct_score(0.0, math.log(1), 1, math.sqrt(2)) == 0.0
 
     def test_zero_kappa_is_greedy(self):
-        assert uct_score(0.7, 50, 3, 0.0) == 0.7
+        assert uct_score(0.7, math.log(50), 3, 0.0) == 0.7
 
     def test_formula_verbatim(self):
-        got = uct_score(0.4, 3, 2, 1.7)
+        got = uct_score(0.4, math.log(3), 2, 1.7)
         assert abs(got - (0.4 + 1.7 * math.sqrt(math.log(3) / 2))) <= 1e-12
 
     def test_worked_example_at_n_parent_e(self):
@@ -50,7 +50,7 @@ class TestUctScore:
         assert abs(manual - (0.4 + kappa)) <= 1e-12
 
     def test_unvisited_edge_ranks_first(self):
-        assert uct_score(1e9, 100, 0, 1.0) == math.inf
+        assert uct_score(1e9, math.log(100), 0, 1.0) == math.inf
 
 
 class TestRandomPolicyQuery:
