@@ -61,9 +61,6 @@ class AbstractState:
         if self.bits < 0 or self.bits >> self.num_atoms:
             raise DimensionError(f"bits 0x{self.bits:x} exceed {self.num_atoms} atoms")
 
-    def has_bit(self, index: int) -> bool:
-        return bool(self.bits >> index & 1)
-
     def atom_indices(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.num_atoms) if self.bits >> i & 1)
 
@@ -214,9 +211,6 @@ class AtomUniverse:
         for atom in atoms:
             bits |= 1 << self.atom_index(atom)
         return bits
-
-    def objects_of_type(self, type_name: str) -> list[str]:
-        return sorted(o for o, t in self.objects.items() if t == type_name)
 
     def all_states(self) -> Iterable[AbstractState]:
         """Every abstract state; only sensible for small universes."""

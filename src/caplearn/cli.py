@@ -62,6 +62,15 @@ def cmd_learn(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _learned_unique_transitions(run_dir: Path) -> dict[int, int]:
+    """Query index -> the learner's unique-transition count, from runlog.jsonl."""
+    path = run_dir / "runlog.jsonl"
+    if not path.is_file():
+        return {}
+    records = (json.loads(line) for line in path.read_text().splitlines() if line.strip())
+    return {r["index"]: r["unique_transitions"] for r in records if "index" in r}
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
     run_dir = Path(args.run_dir)
     config_path = run_dir / "config.json"
@@ -99,6 +108,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         theta=config.learner.theta, horizon=config.learner.horizon,
     )
 
+    uniques = _learned_unique_transitions(run_dir)
     rows = []
     wall0 = time.monotonic()
     for path in targets:
@@ -107,13 +117,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         model_ds = model_replay(filtered, sequences, start, seed=config.seed)
         if path.name == "final_model.json":
             query_idx = len(snapshots)
+            unique = next(reversed(uniques.values()), None)
         else:
             query_idx = int(path.stem.split("_")[1])
+            unique = uniques.get(query_idx)
         rows.append(
             CheckpointRow(
                 checkpoint=path.name,
                 queries=query_idx,
-                unique_transitions=len(agent_ds),
+                unique_transitions=unique,
                 vd_sampled=sampled_vd(agent_ds, model_ds),
                 vd_exact=exact_vd(model, truth, truth_transitions),
                 wall_seconds=time.monotonic() - wall0,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -36,59 +37,44 @@ class RunConfig:
         doc = {
             "environment": {"name": self.environment, "params": self.env_params},
             "universe": self.universe,
-            "learner": {
-                "variant": self.learner.variant,
-                "runs_per_query": self.learner.runs_per_query,
-                "horizon": self.learner.horizon,
-                "theta": self.learner.theta,
-                "mcts_iterations": self.learner.mcts_iterations,
-                "kappa": self.learner.kappa,
-                "depth": self.learner.depth,
-                "early_stop_window": self.learner.early_stop_window,
-                "max_queries": self.learner.max_queries,
-                "wall_clock_budget": self.learner.wall_clock_budget,
-                "random_policy_length": self.learner.random_policy_length,
-                "bootstrap_steps": self.learner.bootstrap_steps,
-            },
-            "evaluation": {
-                "episodes": self.evaluation.episodes,
-                "min_len": self.evaluation.min_len,
-                "max_len": self.evaluation.max_len,
-            },
+            "learner": _section_json(self.learner),
+            "evaluation": _section_json(self.evaluation),
             "output_dir": self.output_dir,
             "seed": self.seed,
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-_LEARNER_FIELDS = {
-    "variant": str,
-    "runs_per_query": int,
-    "horizon": int,
-    "theta": (int, type(None)),
-    "mcts_iterations": int,
-    "kappa": (int, float),
-    "depth": int,
-    "early_stop_window": int,
-    "max_queries": (int, type(None)),
-    "wall_clock_budget": (int, float, type(None)),
-    "random_policy_length": int,
-    "bootstrap_steps": (int, type(None)),
-}
-
-_EVAL_FIELDS = {"episodes": int, "min_len": int, "max_len": int}
+# Set from the run's top-level seed and from the command line, never by a section.
+_OUTSIDE_SECTION = ("seed", "progress")
 
 
-def _typed(section: str, data: dict, fields: dict) -> dict:
-    out = {}
+def _section_schema(cls: type) -> dict[str, tuple[type, ...]]:
+    """Field name -> accepted JSON value types, read off the dataclass's hints.
+
+    A `float` field also accepts a JSON integer.
+    """
+    schema = {}
+    for name, hint in typing.get_type_hints(cls).items():
+        if name in _OUTSIDE_SECTION:
+            continue
+        types = typing.get_args(hint) or (hint,)
+        schema[name] = types + (int,) if float in types else types
+    return schema
+
+
+def _section_json(section: LearnerConfig | EvalConfig) -> dict:
+    return {name: getattr(section, name) for name in _section_schema(type(section))}
+
+
+def _typed(section: str, data: dict, cls: type) -> dict:
+    schema = _section_schema(cls)
     for key, value in data.items():
-        if key not in fields:
+        if key not in schema:
             raise ConfigurationError(f"unknown {section} field {key!r}")
-        expected = fields[key]
-        if not isinstance(value, expected) or isinstance(value, bool):
+        if not isinstance(value, schema[key]) or isinstance(value, bool):
             raise ConfigurationError(f"{section}.{key} has wrong type: {value!r}")
-        out[key] = value
-    return out
+    return data
 
 
 def parse_config(doc: dict) -> RunConfig:
@@ -107,13 +93,13 @@ def parse_config(doc: dict) -> RunConfig:
     learner_doc = doc.get("learner", {})
     if not isinstance(learner_doc, dict):
         raise ConfigurationError("learner must be an object")
-    learner = LearnerConfig(**_typed("learner", learner_doc, _LEARNER_FIELDS), seed=seed)
+    learner = LearnerConfig(**_typed("learner", learner_doc, LearnerConfig), seed=seed)
     learner.validate()
 
     eval_doc = doc.get("evaluation", {})
     if not isinstance(eval_doc, dict):
         raise ConfigurationError("evaluation must be an object")
-    evaluation = EvalConfig(**_typed("evaluation", eval_doc, _EVAL_FIELDS), seed=seed)
+    evaluation = EvalConfig(**_typed("evaluation", eval_doc, EvalConfig), seed=seed)
     evaluation.validate()
 
     universe = doc.get("universe", "builtin")

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence
+from typing import Mapping
 
-from .abstraction import AbstractState, satisfies
-from .model import ConditionalEffectRule, apply_effect
+from .abstraction import AbstractState
+from .model import CapabilityModel, predict
 
 
 class StateDistribution:
@@ -56,31 +56,20 @@ def _logaddexp(a: float, b: float) -> float:
 
 
 def push_distribution(
-    dist: StateDistribution, rules: Sequence[ConditionalEffectRule]
+    dist: StateDistribution, model: CapabilityModel, capability: str
 ) -> StateDistribution:
-    """One-step image of `dist` under a capability's rule list.
+    """One-step image of `dist` under one capability of `model`.
 
-    States accepted by no condition keep their mass (self-loop). A state
-    accepted by some condition fires the first such rule and splits its mass
-    across that rule's effects; colliding successors are merged in log space.
+    Each state's successors come from the model's memoized `predict` (a state
+    no condition accepts keeps its mass); successors reached from several
+    states are merged in log space.
     """
     out: dict[AbstractState, float] = {}
-
-    def accumulate(state: AbstractState, lp: float) -> None:
-        prev = out.get(state)
-        out[state] = lp if prev is None else _logaddexp(prev, lp)
-
     for state, lp in dist.log_mass.items():
-        fired = None
-        for rule in rules:
-            if satisfies(state, rule.condition):
-                fired = rule
-                break
-        if fired is None:
-            accumulate(state, lp)
-        else:
-            for p, eff in fired.effects:
-                accumulate(apply_effect(state, eff), lp + math.log(p))
+        for s2, p in predict(model, state, capability).items():
+            total = lp + math.log(p)
+            prev = out.get(s2)
+            out[s2] = total if prev is None else _logaddexp(prev, total)
     return StateDistribution(out)
 
 

@@ -186,7 +186,7 @@ def evaluation_filter(model: CapabilityModel) -> CapabilityModel:
 class CheckpointRow:
     checkpoint: str
     queries: int
-    unique_transitions: int
+    unique_transitions: int | None
     vd_sampled: float
     vd_exact: float | None
     wall_seconds: float
@@ -206,7 +206,8 @@ def write_csv(rows: Sequence[CheckpointRow], path: str | Path | io.TextIOBase) -
         writer.writerow(header)
         for r in rows:
             writer.writerow(
-                [r.checkpoint, r.queries, r.unique_transitions, r.vd_sampled,
+                [r.checkpoint, r.queries,
+                 "" if r.unique_transitions is None else r.unique_transitions, r.vd_sampled,
                  "" if r.vd_exact is None else r.vd_exact, r.wall_seconds]
             )
         return

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from random import Random
 from typing import Callable, Iterable, Mapping, Sequence
@@ -97,21 +97,6 @@ class QueryRecord:
     snapshot: str | None
     failures: int = 0
 
-    def to_json(self) -> dict:
-        return {
-            "index": self.index,
-            "policy": self.policy,
-            "initial_state": self.initial_state,
-            "novel": self.novel,
-            "unique_transitions": self.unique_transitions,
-            "total_transitions": self.total_transitions,
-            "executions": self.executions,
-            "score": self.score,
-            "elapsed": self.elapsed,
-            "snapshot": self.snapshot,
-            "failures": self.failures,
-        }
-
 
 @dataclass
 class RunLog:
@@ -121,7 +106,7 @@ class RunLog:
     wall_seconds: float = 0.0
 
     def to_jsonl(self) -> str:
-        lines = [json.dumps(r.to_json(), sort_keys=True) for r in self.records]
+        lines = [json.dumps(asdict(r), sort_keys=True) for r in self.records]
         lines.append(
             json.dumps(
                 {

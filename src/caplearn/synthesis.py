@@ -20,7 +20,7 @@ from random import Random
 from typing import Mapping, Sequence
 
 from .abstraction import AbstractState, AtomUniverse, satisfies
-from .distributions import StateDistribution, tv_distance
+from .distributions import StateDistribution, push_distribution, tv_distance
 from .model import CapabilityModel, predict
 
 
@@ -43,9 +43,6 @@ class StatePolicy:
 
     def lookup(self, state: AbstractState) -> str | None:
         return self._table.get(state)
-
-    def as_dict(self) -> dict[AbstractState, str]:
-        return dict(self.mapping)
 
     @classmethod
     def from_dict(cls, d: Mapping[AbstractState, str]) -> "StatePolicy":
@@ -100,34 +97,6 @@ def random_policy_query(
 # -- exact variant: compact distribution pairs -------------------------------
 
 
-class _CachedStepper:
-    """Per-model one-step push with memoized per-state successors."""
-
-    def __init__(self, model: CapabilityModel) -> None:
-        self.model = model
-        self._cache: dict[tuple[str, AbstractState], list[tuple[AbstractState, float]]] = {}
-
-    def successors(self, state: AbstractState, cap: str) -> list[tuple[AbstractState, float]]:
-        key = (cap, state)
-        got = self._cache.get(key)
-        if got is None:
-            got = [(s2, math.log(p)) for s2, p in predict(self.model, state, cap).items()]
-            self._cache[key] = got
-        return got
-
-    def push(self, dist: StateDistribution, cap: str) -> StateDistribution:
-        out: dict[AbstractState, float] = {}
-        for s, lp in dist.log_mass.items():
-            for s2, lq in self.successors(s, cap):
-                cur = out.get(s2)
-                total = lp + lq
-                if cur is not None:
-                    hi, lo = (cur, total) if cur >= total else (total, cur)
-                    total = hi + math.log1p(math.exp(lo - hi))
-                out[s2] = total
-        return StateDistribution(out)
-
-
 class _DistNode:
     __slots__ = ("dist_p", "dist_o", "reward", "children", "untried", "n", "n_edge", "q", "value")
 
@@ -164,8 +133,6 @@ def synthesize_exact(
     caps = sorted(set(m_pess.capabilities) | set(m_opt.capabilities))
     if not caps or iterations <= 0:
         return SynthesisResult(StatePolicy(()), 0.0)
-    sp = _CachedStepper(m_pess)
-    so = _CachedStepper(m_opt)
     root = _DistNode(StateDistribution.point(s0), StateDistribution.point(s0), caps)
     seen_supports = {(root.dist_p.support(), root.dist_o.support())}
 
@@ -176,8 +143,8 @@ def synthesize_exact(
             dp, do = node.dist_p, node.dist_o
             for _ in range(depth - used_depth):
                 cap = rng.choice(caps)
-                dp = sp.push(dp, cap)
-                do = so.push(do, cap)
+                dp = push_distribution(dp, m_pess, cap)
+                do = push_distribution(do, m_opt, cap)
                 ret += tv_distance(dp, do)
             total += ret
         return total / rollouts
@@ -191,8 +158,8 @@ def synthesize_exact(
                 if not node.untried:
                     break
                 cap = node.untried.pop(0)
-                child_p = sp.push(node.dist_p, cap)
-                child_o = so.push(node.dist_o, cap)
+                child_p = push_distribution(node.dist_p, m_pess, cap)
+                child_o = push_distribution(node.dist_o, m_opt, cap)
                 key = (child_p.support(), child_o.support())
                 if key in seen_supports:
                     continue

@@ -19,7 +19,7 @@ from caplearn.abstraction import (
     build_universe,
 )
 from caplearn.dataset import EffectPair, Transition, TransitionDataset
-from caplearn.model import Capability, ConditionalEffectRule
+from caplearn.model import Capability, CapabilityModel, ConditionalEffectRule
 
 
 @pytest.fixture
@@ -106,6 +106,15 @@ def random_rule(num_atoms: int, rng: Random, max_effects: int = 3) -> Conditiona
         random_condition(num_atoms, rng),
         tuple((w / total, e) for e, w in effects.items()),
     )
+
+
+RULE_CAP = "c"
+
+
+def rule_model(universe: AtomUniverse, rules) -> CapabilityModel:
+    """A model whose one capability, `RULE_CAP`, has exactly `rules`."""
+    cap = Capability(RULE_CAP, LiteralConjunction(1, 0), tuple(rules))
+    return CapabilityModel(universe, {RULE_CAP: cap}, "ground-truth")
 
 
 def small_universe(num_atoms: int) -> AtomUniverse:

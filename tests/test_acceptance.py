@@ -36,7 +36,7 @@ from caplearn.model import (
     make_intent,
     satisfies,
 )
-from .conftest import random_dataset, random_rule
+from .conftest import RULE_CAP, random_dataset, random_rule, rule_model
 from .test_distributions import dense_push_oracle, random_distribution
 
 SEEDS = range(10)
@@ -223,7 +223,7 @@ class TestCriterion5PushOracle:
             universe = _universe_of_size(rng)
             dist = random_distribution(universe, rng)
             rules = tuple(random_rule(universe.num_atoms, rng) for _ in range(rng.randint(1, 3)))
-            got = push_distribution(dist, rules).probs()
+            got = push_distribution(dist, rule_model(universe, rules), RULE_CAP).probs()
             want = dense_push_oracle(dist.probs(), rules, universe.num_atoms)
             for s in set(got) | set(want):
                 gap = abs(got.get(s, 0.0) - want.get(s, 0.0))

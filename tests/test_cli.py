@@ -98,6 +98,30 @@ class TestEvaluate:
         assert rows[-1]["checkpoint"] == "final_model.json"
         assert float(rows[-1]["vd_exact_if_available"]) <= float(rows[0]["vd_exact_if_available"]) + 0.02
 
+    def test_unique_transitions_come_from_the_runlog(self, tmp_path):
+        cfg = _write_config(tmp_path / "cfg.json")
+        assert main(["learn", "--config", str(cfg), "--quiet"]) == 0
+        out = tmp_path / "out"
+        records = [json.loads(line) for line in (out / "runlog.jsonl").read_text().splitlines()]
+        learned = {r["snapshot"]: r["unique_transitions"] for r in records if "index" in r}
+        assert len(learned) >= 3
+        learned["final_model.json"] = records[-2]["unique_transitions"]
+        assert main(["evaluate", str(out), "--episodes", "20", "--quiet"]) == 0
+        with open(out / "evaluation.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert {r["checkpoint"]: int(r["unique_transitions"]) for r in rows} == learned
+
+    def test_unique_transitions_blank_without_runlog(self, tmp_path):
+        cfg = _write_config(tmp_path / "cfg.json")
+        assert main(["learn", "--config", str(cfg), "--quiet"]) == 0
+        out = tmp_path / "out"
+        (out / "runlog.jsonl").unlink()
+        assert main(["evaluate", str(out), "--episodes", "20", "--quiet"]) == 0
+        with open(out / "evaluation.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows
+        assert all(r["unique_transitions"] == "" for r in rows)
+
     def test_empty_run_dir_exits_one(self, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()

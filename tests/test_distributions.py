@@ -12,8 +12,8 @@ from caplearn.distributions import (
     sd_reward,
     tv_distance,
 )
-from caplearn.model import ConditionalEffectRule, apply_effect
-from .conftest import random_rule, random_state, small_universe
+from caplearn.model import ConditionalEffectRule, apply_effect, predict
+from .conftest import RULE_CAP, random_rule, random_state, rule_model, small_universe
 
 
 def dense_push_oracle(probs, rules, num_atoms):
@@ -58,7 +58,7 @@ class TestStateDistribution:
         u = small_universe(6)
         d = random_distribution(u, rng)
         for _ in range(30):
-            d = push_distribution(d, (random_rule(u.num_atoms, rng),))
+            d = push_distribution(d, rule_model(u, (random_rule(u.num_atoms, rng),)), RULE_CAP)
         assert abs(d.total() - 1.0) <= 1e-9
 
 
@@ -70,7 +70,7 @@ class TestPushDistribution:
         rule = ConditionalEffectRule(
             Condition.never(3), ((1.0, EffectPair(0b10, 0)),)
         )
-        out = push_distribution(d, (rule,))
+        out = push_distribution(d, rule_model(u, (rule,)), RULE_CAP)
         assert out.probs() == pytest.approx({s: 1.0})
 
     def test_three_outcome_rule_three_successors(self, vacuum_universe):
@@ -87,7 +87,7 @@ class TestPushDistribution:
                 (0.25, EffectPair(0, charged)),
             ),
         )
-        out = push_distribution(StateDistribution.point(s), (rule,))
+        out = push_distribution(StateDistribution.point(s), rule_model(u, (rule,)), RULE_CAP)
         assert sorted(out.probs().values(), reverse=True) == pytest.approx([0.50, 0.25, 0.25])
 
     def test_partial_firing_preserves_unmatched_mass(self):
@@ -98,10 +98,28 @@ class TestPushDistribution:
             Condition((LiteralConjunction(u.mask_of(["p0(a)"]), 0),), 3),
             ((1.0, EffectPair(u.mask_of(["p2(a)"]), 0)),),
         )
-        out = push_distribution(d, (rule,)).probs()
+        out = push_distribution(d, rule_model(u, (rule,)), RULE_CAP).probs()
         assert out == pytest.approx(
             {apply_effect(s1, EffectPair(u.mask_of(["p2(a)"]), 0)): 0.5, s2: 0.5}
         )
+
+    def test_colliding_effects_match_predict_exactly(self):
+        # An optimistic-style rule accepting every state whose two effects
+        # lead from s to one successor. Summed in linear space 0.1 + 0.9 is
+        # exactly 1.0; merged in log space it is not.
+        u = small_universe(3)
+        s = u.encode(["p0(a)"])
+        rule = ConditionalEffectRule(
+            Condition.always(3),
+            (
+                (0.1, EffectPair(u.mask_of(["p1(a)"]), 0)),
+                (0.9, EffectPair(u.mask_of(["p1(a)"]), u.mask_of(["p2(a)"]))),
+            ),
+        )
+        m = rule_model(u, (rule,))
+        got = push_distribution(StateDistribution.point(s), m, RULE_CAP)
+        assert got == StateDistribution.from_probs(predict(m, s, RULE_CAP))
+        assert got.log_mass == {u.encode(["p0(a)", "p1(a)"]): 0.0}
 
     def test_matches_dense_oracle_on_random_instances(self):
         rng = Random("push-oracle-unit")
@@ -109,7 +127,7 @@ class TestPushDistribution:
         for _ in range(300):
             d = random_distribution(u, rng)
             rules = tuple(random_rule(u.num_atoms, rng) for _ in range(rng.randint(1, 3)))
-            got = push_distribution(d, rules).probs()
+            got = push_distribution(d, rule_model(u, rules), RULE_CAP).probs()
             want = dense_push_oracle(d.probs(), rules, u.num_atoms)
             assert set(got) == {s for s, p in want.items() if p > 0}
             for s, p in want.items():

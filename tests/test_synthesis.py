@@ -105,8 +105,8 @@ def brute_force_best_sequence_score(s0, m_pess, m_opt, depth):
         nxt = []
         for dp, do, acc in frontier:
             for c in caps:
-                dp2 = push_distribution(dp, m_pess.rules_for(c))
-                do2 = push_distribution(do, m_opt.rules_for(c))
+                dp2 = push_distribution(dp, m_pess, c)
+                do2 = push_distribution(do, m_opt, c)
                 score = acc + tv_distance(dp2, do2)
                 best = max(best, score)
                 nxt.append((dp2, do2, score))
@@ -142,8 +142,8 @@ class TestSynthesizeExact:
         cap = Capability("c", LiteralConjunction(1, 0))
         m_pess, m_opt = build_models([cap], ds, u)
         expected = tv_distance(
-            push_distribution(_point(s0), m_pess.rules_for("c")),
-            push_distribution(_point(s0), m_opt.rules_for("c")),
+            push_distribution(_point(s0), m_pess, "c"),
+            push_distribution(_point(s0), m_opt, "c"),
         )
         assert expected > 0.0
         result = synthesize_exact(s0, m_pess, m_opt, 50, math.sqrt(2), 1, Random(3))
@@ -212,8 +212,8 @@ class TestSynthesizeSampled:
     def test_root_q_converges_to_sd_reward(self):
         u, s0, m1, m2 = _toy_support_difference_models()
         expected = sd_reward(
-            push_distribution(_point(s0), m1.rules_for("c")),
-            push_distribution(_point(s0), m2.rules_for("c")),
+            push_distribution(_point(s0), m1, "c"),
+            push_distribution(_point(s0), m2, "c"),
         )
         assert expected == pytest.approx(0.5)
         result = synthesize_sampled(s0, m1, m2, 10_000, math.sqrt(2), 1, Random(42))
