@@ -13,7 +13,7 @@ from .abstraction import (
     literal_of,
     satisfies,
 )
-from .dataset import EffectPair, Transition, TransitionDataset, abstract_trajectory, effects_of
+from .dataset import EffectPair, Transition, TransitionDataset, effects_of
 from .distributions import StateDistribution, push_distribution, sd_reward, tv_distance
 from .evaluation import (
     EvalConfig,
@@ -53,7 +53,6 @@ from .model import (
     partition,
     pessimistic_condition,
     predict,
-    save_model,
 )
 from .synthesis import (
     Query,

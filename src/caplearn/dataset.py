@@ -1,4 +1,4 @@
-"""The capability-transition multiset and trajectory-to-transition conversion."""
+"""The multiset of observed capability transitions."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .abstraction import AbstractState, AbstractionFn, AtomUniverse
+from .abstraction import AbstractState, AtomUniverse
 
 
 @dataclass(frozen=True)
@@ -41,38 +41,12 @@ def effects_of(transition: Transition) -> EffectPair:
     return EffectPair(add=s2 & ~s, delete=s & ~s2)
 
 
-def abstract_trajectory(
-    env_trajectory: Sequence[object],
-    abstraction: AbstractionFn,
-    theta: int | None = None,
-) -> list[AbstractState]:
-    """Abstract a trajectory element-wise, collapse duplicates, truncate at theta.
-
-    `theta` bounds the number of distinct abstract states kept (None for
-    unbounded); theta=2 keeps one abstract change. The first element is always
-    the abstraction of the initial environment state.
-    """
-    if not env_trajectory:
-        raise ValueError("trajectory must contain at least the start state")
-    if theta is not None and theta < 1:
-        raise ValueError("theta must be >= 1 or None")
-    out: list[AbstractState] = []
-    for x in env_trajectory:
-        s = abstraction(x)
-        if not out or s != out[-1]:
-            out.append(s)
-            if theta is not None and len(out) == theta:
-                break
-    return out
-
-
 class TransitionDataset:
-    """Multiset of (s, c, s') triples with per-capability and per-state indexes."""
+    """Multiset of (s, c, s') triples indexed by capability, then source state."""
 
     def __init__(self) -> None:
         self.counts: dict[Transition, int] = {}
-        self._by_cap: dict[str, set[Transition]] = {}
-        self._by_cap_state: dict[tuple[str, AbstractState], set[Transition]] = {}
+        self._by_cap_state: dict[str, dict[AbstractState, set[Transition]]] = {}
         self._state_counts: dict[AbstractState, int] = {}
 
     def __len__(self) -> int:
@@ -88,34 +62,26 @@ class TransitionDataset:
         novel = transition not in self.counts
         self.counts[transition] = self.counts.get(transition, 0) + count
         if novel:
-            self._by_cap.setdefault(transition.c, set()).add(transition)
-            self._by_cap_state.setdefault((transition.c, transition.s), set()).add(transition)
+            by_state = self._by_cap_state.setdefault(transition.c, {})
+            by_state.setdefault(transition.s, set()).add(transition)
         self._state_counts[transition.s] = self._state_counts.get(transition.s, 0) + count
         return novel
 
     def record(
-        self,
-        env_trajectory: Sequence[object],
-        capability: str,
-        abstraction: AbstractionFn,
-        theta: int | None = None,
+        self, states: Sequence[AbstractState], capability: str
     ) -> tuple[Transition, bool]:
-        """Record the endpoint transition of a capability execution."""
-        seq = abstract_trajectory(env_trajectory, abstraction, theta)
-        t = Transition(seq[0], capability, seq[-1])
+        """Record the endpoint transition of one execution's abstract states."""
+        t = Transition(states[0], capability, states[-1])
         return t, self.add(t)
 
     def transitions_from(self, capability: str, state: AbstractState) -> set[Transition]:
-        return self._by_cap_state.get((capability, state), set())
+        return self._by_cap_state.get(capability, {}).get(state, set())
 
     def effect_set(self, capability: str, state: AbstractState) -> frozenset[EffectPair]:
         return frozenset(effects_of(t) for t in self.transitions_from(capability, state))
 
     def observed_states(self, capability: str) -> set[AbstractState]:
-        return {t.s for t in self._by_cap.get(capability, set())}
-
-    def capabilities(self) -> list[str]:
-        return sorted(self._by_cap)
+        return set(self._by_cap_state.get(capability, {}))
 
     def state_visit_count(self, state: AbstractState) -> int:
         """Total recorded transitions that start in `state`, across capabilities."""
@@ -140,9 +106,6 @@ class TransitionDataset:
                 )
             )
         return "\n".join(lines) + ("\n" if lines else "")
-
-    def save(self, path: str | Path, universe: AtomUniverse) -> None:
-        Path(path).write_text(self.to_jsonl(universe))
 
     @classmethod
     def from_jsonl(cls, text: str, universe: AtomUniverse) -> "TransitionDataset":

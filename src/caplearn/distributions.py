@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import math
-from typing import Mapping
+from typing import Mapping, Sequence, TypeVar
 
 from .abstraction import AbstractState
 from .model import CapabilityModel, predict
+
+T = TypeVar("T")
 
 
 class StateDistribution:
@@ -88,3 +90,18 @@ def sd_reward(d1: StateDistribution, d2: StateDistribution) -> float:
     for s in sup1 ^ sup2:
         total += 0.5 * d1.mass(s) + 0.5 * d2.mass(s)
     return total
+
+
+def draw(weighted: Sequence[tuple[T, float]], u: float) -> T:
+    """Inverse-CDF categorical draw: the first item whose cumulative weight exceeds `u`.
+
+    Weights are summed as given, never renormalized, so callers scale `u` to
+    their total; when rounding leaves `u` past the last cumulative weight, the
+    last item is returned.
+    """
+    acc = 0.0
+    for item, w in weighted:
+        acc += w
+        if u < acc:
+            return item
+    return weighted[-1][0]

@@ -11,6 +11,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .abstraction import AbstractState, ConfigurationError
 from .dataset import Transition, TransitionDataset
+from .distributions import draw
 from .envs.base import EnvironmentBundle
 from .learner import run_capability
 from .model import Capability, CapabilityModel, predict
@@ -54,7 +55,7 @@ def generate_eval_dataset(
         seq = [rng.choice(names) for _ in range(rng.randint(config.min_len, config.max_len))]
         sequences.append(seq)
         for cap_name in seq:
-            traj = run_capability(
+            states, _ = run_capability(
                 bundle.agent,
                 bundle.simulator,
                 capabilities[cap_name].intent,
@@ -62,7 +63,7 @@ def generate_eval_dataset(
                 theta,
                 horizon,
             )
-            dataset.record(traj, cap_name, bundle.abstraction, theta)
+            dataset.record(states, cap_name)
     return dataset, sequences
 
 
@@ -79,15 +80,7 @@ def model_replay(
         s = start
         for cap_name in seq:
             dist = predict(model, s, cap_name)
-            ordered = sorted(dist.items(), key=lambda kv: kv[0].bits)
-            u = rng.random()
-            acc = 0.0
-            s2 = ordered[-1][0]
-            for cand, p in ordered:
-                acc += p
-                if u < acc:
-                    s2 = cand
-                    break
+            s2 = draw(sorted(dist.items(), key=lambda kv: kv[0].bits), rng.random())
             dataset.add(Transition(s, cap_name, s2))
             s = s2
     return dataset

@@ -19,6 +19,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .abstraction import AbstractState, AbstractionFn, AtomUniverse, ConfigurationError, LiteralConjunction
 from .dataset import TransitionDataset
+from .distributions import draw
 from .envs.base import EnvironmentBundle
 from .model import (
     Capability,
@@ -137,28 +138,24 @@ def random_walk(simulator, steps: int, rng: Random) -> list:
 
 
 def discover_capabilities(
-    trajectories: Iterable[Sequence], abstraction: AbstractionFn, universe: AtomUniverse
+    sequences: Iterable[Sequence[AbstractState]], universe: AtomUniverse
 ) -> dict[str, Capability]:
     """Single-literal intents from observed one-step deltas, re-grounded.
 
-    Each changed atom contributes the literal with its post-change polarity;
-    every type-consistent re-grounding of that atom's predicate is added with
-    the same polarity.
+    Each changed atom between consecutive abstract states contributes the
+    literal with its post-change polarity; every type-consistent re-grounding
+    of that atom's predicate is added with the same polarity.
     """
     schemas: set[tuple[str, bool]] = set()
-    for traj in trajectories:
-        prev = None
-        for x in traj:
-            cur = abstraction(x)
-            if prev is not None and cur != prev:
-                added = cur.bits & ~prev.bits
-                removed = prev.bits & ~cur.bits
-                for i in range(universe.num_atoms):
-                    if added >> i & 1:
-                        schemas.add((universe.atoms[i].predicate, True))
-                    elif removed >> i & 1:
-                        schemas.add((universe.atoms[i].predicate, False))
-            prev = cur
+    for seq in sequences:
+        for prev, cur in zip(seq, seq[1:]):
+            added = cur.bits & ~prev.bits
+            removed = prev.bits & ~cur.bits
+            for i in range(universe.num_atoms):
+                if added >> i & 1:
+                    schemas.add((universe.atoms[i].predicate, True))
+                elif removed >> i & 1:
+                    schemas.add((universe.atoms[i].predicate, False))
 
     caps: dict[str, Capability] = {}
     for predicate, positive in sorted(schemas):
@@ -174,9 +171,9 @@ def discover_capabilities(
 
 @dataclass
 class RunResult:
-    """One policy-execution run: recorded segments and where it ended."""
+    """One policy-execution run: (capability, abstract states) segments and where it ended."""
 
-    segments: list[tuple[str, list]]
+    segments: list[tuple[str, list[AbstractState]]]
     final_state: object
     env_steps: int
     error: str | None = None
@@ -189,28 +186,30 @@ def run_capability(
     abstraction: AbstractionFn,
     theta: int | None,
     horizon: int,
-) -> list:
-    """One capability attempt, halted at the theta-th distinct abstract state.
+) -> tuple[list[AbstractState], int]:
+    """One capability attempt, abstracted once: its abstract states and env steps.
 
-    The simulator is left at the halting point, so callers continue from
-    exactly what was observed.
+    Consecutive repeats are collapsed, and the sequence ends at the theta-th
+    distinct abstract state (`theta=None` keeps them all; theta=2 keeps one
+    abstract change). The first state is the abstraction of the start state.
+    At a cut the simulator is left at the cut's env state, so callers continue
+    from exactly what was observed.
     """
-    start = simulator.current
-    traj = agent.attempt(intent, simulator, start, horizon)
-    if theta is None:
-        return traj
-    distinct = 0
-    prev = None
+    if theta is not None and theta < 1:
+        raise ValueError("theta must be >= 1 or None")
+    traj = agent.attempt(intent, simulator, simulator.current, horizon)
+    if not traj:
+        raise ValueError("trajectory must contain at least the start state")
+    states: list[AbstractState] = []
     for idx, x in enumerate(traj):
         s = abstraction(x)
-        if prev is None or s != prev:
-            distinct += 1
-            prev = s
-            if distinct == theta:
+        if not states or s != states[-1]:
+            states.append(s)
+            if len(states) == theta:
                 if idx < len(traj) - 1:
-                    simulator.revert(traj[idx])
-                return traj[: idx + 1]
-    return traj
+                    simulator.revert(x)
+                return states, idx
+    return states, len(traj) - 1
 
 
 def execute_query(
@@ -234,7 +233,7 @@ def execute_query(
     results: list[RunResult] = []
     for _ in range(query.n):
         simulator.revert(query.x0)
-        segments: list[tuple[str, list]] = []
+        segments: list[tuple[str, list[AbstractState]]] = []
         steps = 0
         error = None
         if isinstance(query.policy, SequencePolicy):
@@ -252,12 +251,14 @@ def execute_query(
             if cap is None:
                 break
             try:
-                traj = run_capability(agent, simulator, cap.intent, abstraction, theta, horizon)
+                states, env_steps = run_capability(
+                    agent, simulator, cap.intent, abstraction, theta, horizon
+                )
             except Exception as exc:  # noqa: BLE001 - agent is untrusted
                 error = f"{type(exc).__name__}: {exc}"
                 break
-            segments.append((cap_name, traj))
-            steps += len(traj) - 1
+            segments.append((cap_name, states))
+            steps += env_steps
         results.append(RunResult(segments, simulator.current, steps, error))
     return results
 
@@ -293,15 +294,8 @@ def sample_initial_state(
     ordered = sorted(candidates.items(), key=lambda kv: kv[0].bits)
     visit = [dataset.state_visit_count(s) for s, _ in ordered]
     n_max = max(visit)
-    weights = [n_max + 1 - v for v in visit]
-    total = sum(weights)
-    u = rng.random() * total
-    acc = 0.0
-    for (state, payload), w in zip(ordered, weights):
-        acc += w
-        if u < acc:
-            return payload
-    return ordered[-1][1]
+    weighted = [(payload, n_max + 1 - v) for (_, payload), v in zip(ordered, visit)]
+    return draw(weighted, rng.random() * sum(w for _, w in weighted))
 
 
 def run(
@@ -341,7 +335,9 @@ def run(
         remaining -= max(len(walk) - 1, 1)
     if not walks:
         walks.append(random_walk(simulator, 0, walk_rng))
-    capabilities = discover_capabilities(walks, abstraction, universe)
+    capabilities = discover_capabilities(
+        [[abstraction(x) for x in walk] for walk in walks], universe
+    )
     dataset = TransitionDataset()
     m_pess, m_opt = build_models(capabilities.values(), dataset, universe)
 
@@ -404,21 +400,19 @@ def run(
         failures = 0
         outcomes: list[tuple[object, int]] = []
         for res in results:
-            depth_used = x_i[1]
-            for cap_name, traj in res.segments:
-                _, is_new = dataset.record(traj, cap_name, abstraction, config.theta)
+            for cap_name, states in res.segments:
+                _, is_new = dataset.record(states, cap_name)
                 novel += int(is_new)
-                executions += 1
-            depth_used += res.env_steps
-            outcomes.append((res.final_state, depth_used))
+            executions += len(res.segments)
+            outcomes.append((res.final_state, x_i[1] + res.env_steps))
             failures += int(res.error is not None)
-            discovered = discover_capabilities(
-                [traj for _, traj in res.segments], abstraction, universe
-            )
-            for name, cap in discovered.items():
-                if name not in capabilities:
-                    capabilities[name] = cap
-                    novel += 1
+        discovered = discover_capabilities(
+            [states for res in results for _, states in res.segments], universe
+        )
+        for name, cap in discovered.items():
+            if name not in capabilities:
+                capabilities[name] = cap
+                novel += 1
 
         m_pess, m_opt = build_models(capabilities.values(), dataset, universe)
         novel_history.append(novel)

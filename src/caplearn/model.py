@@ -353,22 +353,14 @@ def model_from_json(text: str, universe: AtomUniverse | None = None) -> Capabili
     return CapabilityModel(universe, caps, doc.get("flavor", "ground-truth"))
 
 
-def save_model(model: CapabilityModel, path: str | Path) -> None:
-    Path(path).write_text(model_to_json(model))
-
-
 def load_model(path: str | Path, universe: AtomUniverse | None = None) -> CapabilityModel:
     return model_from_json(Path(path).read_text(), universe)
 
 
 def _effect_string(e: EffectPair, universe: AtomUniverse) -> str:
-    parts = []
-    for i, atom in enumerate(universe.atoms):
-        if e.add >> i & 1:
-            parts.append(str(atom))
-        elif e.delete >> i & 1:
-            parts.append(f"!{atom}")
-    return " & ".join(parts) if parts else "(no change)"
+    if e.is_noop:
+        return "(no change)"
+    return literal_string(LiteralConjunction(e.add, e.delete), universe)
 
 
 def _condition_string(cond: Condition, universe: AtomUniverse) -> str:

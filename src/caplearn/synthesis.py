@@ -20,7 +20,7 @@ from random import Random
 from typing import Mapping, Sequence
 
 from .abstraction import AbstractState, AtomUniverse, satisfies
-from .distributions import StateDistribution, push_distribution, tv_distance
+from .distributions import StateDistribution, draw, push_distribution, tv_distance
 from .model import CapabilityModel, predict
 
 
@@ -258,7 +258,7 @@ def synthesize_sampled(
         return got
 
     def step_info(state: AbstractState, cap: str):
-        """Mixture successor list (cumulative) and the symmetric difference."""
+        """Mixture successor list in state order and the symmetric difference."""
         key = (state, cap)
         got = step_cache.get(key)
         if got is None:
@@ -277,14 +277,7 @@ def synthesize_sampled(
 
     def sample_step(state: AbstractState, cap: str) -> tuple[AbstractState, float]:
         ordered, delta = step_info(state, cap)
-        u = rng.random()
-        acc = 0.0
-        chosen = ordered[-1][0]
-        for s2, p in ordered:
-            acc += p
-            if u < acc:
-                chosen = s2
-                break
+        chosen = draw(ordered, rng.random())
         return chosen, (1.0 if chosen in delta else 0.0)
 
     def rollout_return(state: AbstractState, used_depth: int) -> float:

@@ -27,7 +27,7 @@ from caplearn.evaluation import (
     reachable_states,
     sampled_vd,
 )
-from caplearn.learner import LearnerConfig, run
+from caplearn.learner import LearnerConfig, run, run_capability
 from caplearn.model import (
     build_models,
     entailed_successors,
@@ -194,8 +194,10 @@ class TestCriterion4CleanRuleFidelity:
         ds = TransitionDataset()
         for _ in range(2000):
             bundle.simulator.revert(start_atoms)
-            traj = bundle.agent.attempt(intent, bundle.simulator, start_atoms, 100)
-            ds.record(traj, "achieve__clean(l1)", bundle.abstraction)
+            states, _ = run_capability(
+                bundle.agent, bundle.simulator, intent, bundle.abstraction, None, 100
+            )
+            ds.record(states, "achieve__clean(l1)")
         caps = [bundle.ground_truth.capabilities["achieve__clean(l1)"]]
         m_pess, _ = build_models(caps, ds, u)
         state = u.encode(start_atoms)

@@ -9,7 +9,6 @@ from caplearn.dataset import (
     EffectPair,
     Transition,
     TransitionDataset,
-    abstract_trajectory,
     effects_of,
 )
 from caplearn.model import apply_effect
@@ -61,55 +60,30 @@ class TestEffectsOf:
         assert bits_to_index_set(apply_effect(state, eff).bits) == expected
 
 
-class TestAbstractTrajectory:
-    def setup_method(self):
-        self.u = build_universe({"p": ["x"], "q": ["x"], "r": ["x"]}, {"a": "x"})
-        self.abstraction = lambda atoms: self.u.encode(atoms)
-
-    def test_constant_trajectory_collapses(self):
-        traj = [{"p(a)"}] * 3
-        assert len(abstract_trajectory(traj, self.abstraction, None)) == 1
-
-    def test_truncation_after_theta_distinct_states(self):
-        traj = [set(), set(), {"p(a)"}, {"p(a)"}, {"q(a)"}]
-        out = abstract_trajectory(traj, self.abstraction, 2)
-        assert out == [self.u.encode([]), self.u.encode(["p(a)"])]
-
-    def test_unbounded_keeps_all_changes(self):
-        traj = [set(), {"p(a)"}, {"q(a)"}]
-        assert len(abstract_trajectory(traj, self.abstraction, None)) == 3
-
-    def test_empty_trajectory_rejected(self):
-        with pytest.raises(ValueError):
-            abstract_trajectory([], self.abstraction, None)
-
-    def test_theta_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            abstract_trajectory([set()], self.abstraction, 0)
-
-
 class TestRecord:
     def setup_method(self):
         self.u = build_universe({"p": ["x"], "q": ["x"]}, {"a": "x"})
-        self.abstraction = lambda atoms: self.u.encode(atoms)
+
+    def states(self, *atom_sets):
+        return [self.u.encode(atoms) for atoms in atom_sets]
 
     def test_constant_trajectory_records_self_loop(self):
         ds = TransitionDataset()
-        t, novel = ds.record([{"p(a)"}, {"p(a)"}], "c", self.abstraction)
+        t, novel = ds.record(self.states({"p(a)"}), "c")
         assert t.s == t.s_next
         assert novel
         assert ds.counts[t] == 1
 
     def test_repeat_recording_increments_count(self):
         ds = TransitionDataset()
-        ds.record([set(), {"p(a)"}], "c", self.abstraction)
-        t, novel = ds.record([set(), {"p(a)"}], "c", self.abstraction)
+        ds.record(self.states(set(), {"p(a)"}), "c")
+        t, novel = ds.record(self.states(set(), {"p(a)"}), "c")
         assert not novel
         assert ds.counts[t] == 2
 
     def test_endpoints_of_collapsed_sequence(self):
         ds = TransitionDataset()
-        t, _ = ds.record([set(), {"p(a)"}, {"q(a)"}], "c", self.abstraction)
+        t, _ = ds.record(self.states(set(), {"p(a)"}, {"q(a)"}), "c")
         assert t.s == self.u.encode([])
         assert t.s_next == self.u.encode(["q(a)"])
 

@@ -8,6 +8,7 @@ from caplearn.abstraction import AbstractState, Condition, LiteralConjunction, s
 from caplearn.dataset import EffectPair
 from caplearn.distributions import (
     StateDistribution,
+    draw,
     push_distribution,
     sd_reward,
     tv_distance,
@@ -132,6 +133,22 @@ class TestPushDistribution:
             assert set(got) == {s for s, p in want.items() if p > 0}
             for s, p in want.items():
                 assert abs(got.get(s, 0.0) - p) <= 1e-9
+
+
+class TestDraw:
+    def test_first_item_whose_cumulative_weight_exceeds_u(self):
+        weighted = [("a", 0.25), ("b", 0.5), ("c", 0.25)]
+        assert [draw(weighted, u) for u in (0.0, 0.24, 0.25, 0.74, 0.75)] == [
+            "a", "a", "b", "b", "c"
+        ]
+
+    def test_u_past_the_total_returns_last_item(self):
+        assert draw([("a", 0.5), ("b", 0.5)], 1.0) == "b"
+        assert draw([("a", 2), ("b", 1)], 3.5) == "b"
+
+    def test_weights_are_not_renormalized(self):
+        assert draw([("a", 2), ("b", 1)], 1.5) == "a"
+        assert draw([("a", 2), ("b", 1)], 2.5) == "b"
 
 
 class TestTvDistance:

@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from caplearn.abstraction import ConfigurationError
+from caplearn.abstraction import ConfigurationError, LiteralConjunction, build_universe
 from caplearn.dataset import TransitionDataset, Transition
 from caplearn.envs import vacuum_world
 from caplearn.learner import (
@@ -14,6 +14,7 @@ from caplearn.learner import (
     execute_query,
     random_walk,
     run,
+    run_capability,
     sample_initial_state,
 )
 from caplearn.model import entails, entailed_successors, model_to_json
@@ -61,23 +62,84 @@ class TestRandomWalk:
         assert changed >= 99
 
 
+def _abstract(bundle, traj):
+    return [bundle.abstraction(x) for x in traj]
+
+
+class ScriptedAgent:
+    """Returns a fixed trajectory and, like a real agent, leaves the simulator at its end."""
+
+    def __init__(self, traj):
+        self.traj = traj
+
+    def attempt(self, intent, simulator, start, horizon):
+        if self.traj:
+            simulator.current = self.traj[-1]
+        return list(self.traj)
+
+
+class StubSimulator:
+    def __init__(self, current):
+        self.current = current
+
+    def revert(self, state):
+        self.current = state
+
+
+class TestRunCapability:
+    def setup_method(self):
+        self.u = build_universe({"p": ["x"], "q": ["x"], "r": ["x"]}, {"a": "x"})
+
+    def run(self, traj, theta):
+        sim = StubSimulator(traj[0] if traj else set())
+        intent = LiteralConjunction(self.u.mask_of(["p(a)"]), 0)
+        states, steps = run_capability(ScriptedAgent(traj), sim, intent, self.u.encode, theta, 100)
+        return states, steps, sim.current
+
+    def test_constant_trajectory_collapses(self):
+        states, steps, _ = self.run([{"p(a)"}] * 3, None)
+        assert states == [self.u.encode(["p(a)"])]
+        assert steps == 2
+
+    def test_truncation_after_theta_distinct_states(self):
+        traj = [set(), set(), {"p(a)"}, {"p(a)"}, {"q(a)"}]
+        states, steps, current = self.run(traj, 2)
+        assert states == [self.u.encode([]), self.u.encode(["p(a)"])]
+        assert steps == 2
+        assert current == {"p(a)"}
+
+    def test_unbounded_keeps_all_changes(self):
+        states, steps, current = self.run([set(), {"p(a)"}, {"q(a)"}], None)
+        assert len(states) == 3
+        assert steps == 2
+        assert current == {"q(a)"}
+
+    def test_empty_trajectory_rejected(self):
+        with pytest.raises(ValueError):
+            self.run([], None)
+
+    def test_theta_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            self.run([set()], 0)
+
+
 class TestDiscoverCapabilities:
     def test_constant_trajectory_yields_nothing(self):
         b = vacuum_world(seed=1)
         walk = [b.simulator.reset()] * 5
-        assert discover_capabilities([walk], b.abstraction, b.universe) == {}
+        assert discover_capabilities([_abstract(b, walk)], b.universe) == {}
 
     def test_positive_delta_regrounds_over_locations(self):
         b = vacuum_world(seed=1)
         traj = [frozenset({"charged(robot)"}), frozenset({"charged(robot)", "clean(l1)"})]
-        caps = discover_capabilities([traj], b.abstraction, b.universe)
+        caps = discover_capabilities([_abstract(b, traj)], b.universe)
         assert "achieve__clean(l1)" in caps
         assert "achieve__clean(l2)" in caps
 
     def test_negative_delta_gets_negative_polarity(self):
         b = vacuum_world(seed=1)
         traj = [frozenset({"charged(robot)"}), frozenset()]
-        caps = discover_capabilities([traj], b.abstraction, b.universe)
+        caps = discover_capabilities([_abstract(b, traj)], b.universe)
         assert set(caps) == {"achieve__!charged(robot)"}
         cap = caps["achieve__!charged(robot)"]
         assert cap.intent.negatives == b.universe.mask_of(["charged(robot)"])
@@ -89,8 +151,8 @@ class TestExecuteQuery:
         b = vacuum_world(seed=1)
         start = b.simulator.reset()
         caps = discover_capabilities(
-            [[frozenset({"charged(robot)"}), frozenset({"charged(robot)", "has(robot,vacuum)"})]],
-            b.abstraction,
+            [_abstract(b, [frozenset({"charged(robot)"}),
+                           frozenset({"charged(robot)", "has(robot,vacuum)"})])],
             b.universe,
         )
         ds = TransitionDataset()
@@ -103,9 +165,8 @@ class TestExecuteQuery:
         b = vacuum_world(seed=2)
         start = b.simulator.reset()
         full = discover_capabilities(
-            [[frozenset(), frozenset({"has(robot,vacuum)"}),
-              frozenset({"has(robot,vacuum)", "at(charger,robot)"})]],
-            b.abstraction,
+            [_abstract(b, [frozenset(), frozenset({"has(robot,vacuum)"}),
+                           frozenset({"has(robot,vacuum)", "at(charger,robot)"})])],
             b.universe,
         )
         seq = ("achieve__has(robot,vacuum)", "achieve__at(charger,robot)")
@@ -125,7 +186,7 @@ class TestExecuteQuery:
                 raise RuntimeError("boom")
 
         caps = discover_capabilities(
-            [[frozenset(), frozenset({"has(robot,vacuum)"})]], b.abstraction, b.universe
+            [_abstract(b, [frozenset(), frozenset({"has(robot,vacuum)"})])], b.universe
         )
         query = Query(start, SequencePolicy(("achieve__has(robot,vacuum)",)), 3)
         results = execute_query(
@@ -274,6 +335,23 @@ class TestRun:
         lines = (tmp_path / "runlog.jsonl").read_text().splitlines()
         assert len(lines) == 4  # three query records plus the closing summary
         assert json.loads(lines[0])["index"] == 0
+
+    def test_empty_agent_trajectory_counts_as_failure(self):
+        b = vacuum_world(seed="5/env")
+        inner = b.agent
+        calls = [0]
+
+        class EverySeventhEmpty:
+            def attempt(self, intent, simulator, start, horizon):
+                calls[0] += 1
+                if calls[0] % 7 == 0:
+                    return []
+                return inner.attempt(intent, simulator, start, horizon)
+
+        b.agent = EverySeventhEmpty()
+        _, log = run(self._config(max_queries=3), b)
+        assert len(log.records) == 3
+        assert sum(r.failures for r in log.records) > 0
 
     def test_early_stop_fires(self):
         b = vacuum_world(seed="5/env")
