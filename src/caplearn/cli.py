@@ -71,6 +71,11 @@ def _learned_unique_transitions(run_dir: Path) -> dict[int, int]:
     return {r["index"]: r["unique_transitions"] for r in records if "index" in r}
 
 
+def _query_index(snapshot: Path) -> int:
+    """The query index in a `query_<index>.json` snapshot name."""
+    return int(snapshot.stem.split("_")[1])
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
     run_dir = Path(args.run_dir)
     config_path = run_dir / "config.json"
@@ -86,7 +91,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         config.evaluation.max_len = args.max_len
     config.evaluation.validate()
 
-    snapshots = sorted((run_dir / "snapshots").glob("query_*.json")) if (run_dir / "snapshots").is_dir() else []
+    snap_dir = run_dir / "snapshots"
+    snapshots = sorted(snap_dir.glob("query_*.json"), key=_query_index) if snap_dir.is_dir() else []
     final = run_dir / "final_model.json"
     targets = list(snapshots)
     if final.is_file():
@@ -94,7 +100,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if not targets:
         print(f"error: no model snapshots under {run_dir}", file=sys.stderr)
         return EXIT_RUNTIME
-    if args.last_only and targets:
+    if args.last_only:
         targets = targets[-1:]
 
     bundle = make_bundle(config)
@@ -116,10 +122,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         filtered = evaluation_filter(model)
         model_ds = model_replay(filtered, sequences, start, seed=config.seed)
         if path.name == "final_model.json":
-            query_idx = len(snapshots)
+            query_idx = _query_index(snapshots[-1]) + 1 if snapshots else 0
             unique = next(reversed(uniques.values()), None)
         else:
-            query_idx = int(path.stem.split("_")[1])
+            query_idx = _query_index(path)
             unique = uniques.get(query_idx)
         rows.append(
             CheckpointRow(

@@ -73,16 +73,42 @@ def model_replay(
     start: AbstractState,
     seed: int | str = 0,
 ) -> TransitionDataset:
-    """Replay capability sequences inside the model, open loop from `start`."""
+    """Replay capability sequences inside the model, open loop from `start`.
+
+    Every step draws exactly one uniform from `Random(f"{seed}/replay")`,
+    whatever the model, and picks a successor in bit order. Each distinct
+    (state, capability) is looked up in the model once per call; later visits
+    reuse its successor list and add to its per-successor hit counts, which
+    become the returned dataset's counts.
+    """
     rng = Random(f"{seed}/replay")
-    dataset = TransitionDataset()
+    # (state bits, capability) -> (state, successors in bit order,
+    # (index, probability) pairs to draw from, hits per successor)
+    table: dict[
+        tuple[int, str],
+        tuple[AbstractState, list[AbstractState], list[tuple[int, float]], list[int]],
+    ] = {}
     for seq in sequences:
         s = start
         for cap_name in seq:
-            dist = predict(model, s, cap_name)
-            s2 = draw(sorted(dist.items(), key=lambda kv: kv[0].bits), rng.random())
-            dataset.add(Transition(s, cap_name, s2))
-            s = s2
+            entry = table.get((s.bits, cap_name))
+            if entry is None:
+                ordered = sorted(predict(model, s, cap_name).items(), key=lambda kv: kv[0].bits)
+                entry = table[(s.bits, cap_name)] = (
+                    s,
+                    [s2 for s2, _ in ordered],
+                    [(i, p) for i, (_, p) in enumerate(ordered)],
+                    [0] * len(ordered),
+                )
+            _, successors, weighted, hits = entry
+            i = draw(weighted, rng.random())
+            hits[i] += 1
+            s = successors[i]
+    dataset = TransitionDataset()
+    for (_, cap_name), (s, successors, _, hits) in table.items():
+        for s2, n in zip(successors, hits):
+            if n:
+                dataset.add(Transition(s, cap_name, s2), n)
     return dataset
 
 

@@ -122,6 +122,38 @@ class TestEvaluate:
         assert rows
         assert all(r["unique_transitions"] == "" for r in rows)
 
+    def test_checkpoints_in_query_order(self, tmp_path):
+        cfg = _write_config(tmp_path / "cfg.json")
+        assert main(["learn", "--config", str(cfg), "--quiet"]) == 0
+        out = tmp_path / "out"
+        snap = (out / "snapshots" / "query_0000.json").read_bytes()
+        for name in ("query_9999.json", "query_10000.json"):
+            (out / "snapshots" / name).write_bytes(snap)
+        assert main(["evaluate", str(out), "--episodes", "20", "--quiet"]) == 0
+        with open(out / "evaluation.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        queries = [int(r["queries"]) for r in rows]
+        assert queries == sorted(queries) and len(set(queries)) == len(queries)
+        assert [r["checkpoint"] for r in rows[-3:]] == [
+            "query_9999.json", "query_10000.json", "final_model.json"]
+
+    def test_last_only_matches_last_row_of_full_evaluation(self, tmp_path):
+        cfg = _write_config(tmp_path / "cfg.json")
+        assert main(["learn", "--config", str(cfg), "--quiet"]) == 0
+        out = tmp_path / "out"
+        full, last = tmp_path / "full.csv", tmp_path / "last.csv"
+        assert main(["evaluate", str(out), "--episodes", "20", "--csv", str(full), "--quiet"]) == 0
+        assert main(["evaluate", str(out), "--episodes", "20", "--csv", str(last),
+                     "--last-only", "--quiet"]) == 0
+        with open(full) as fh:
+            full_rows = list(csv.DictReader(fh))
+        with open(last) as fh:
+            last_rows = list(csv.DictReader(fh))
+        assert len(full_rows) > 1
+        assert [r["checkpoint"] for r in last_rows] == ["final_model.json"]
+        for column in ("vd_sampled", "vd_exact_if_available"):
+            assert last_rows[0][column] == full_rows[-1][column]
+
     def test_empty_run_dir_exits_one(self, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()

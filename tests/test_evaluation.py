@@ -7,9 +7,11 @@ from random import Random
 import pytest
 
 import caplearn
+from caplearn import evaluation
 from caplearn.abstraction import Condition, LiteralConjunction
 from caplearn.dataset import EffectPair, Transition, TransitionDataset
-from caplearn.envs import vacuum_world
+from caplearn.distributions import draw
+from caplearn.envs import road_world, vacuum_world
 from caplearn.evaluation import (
     EvalConfig,
     evaluation_filter,
@@ -25,6 +27,7 @@ from caplearn.model import (
     Capability,
     CapabilityModel,
     ConditionalEffectRule,
+    predict,
 )
 from .conftest import random_dataset, small_universe
 
@@ -123,6 +126,81 @@ class TestModelReplay:
         start = b.abstraction(b.simulator.reset())
         model_ds = model_replay(truth, sequences, start, seed=17)
         assert sampled_vd(agent_ds, model_ds) < 0.05
+
+
+def _per_step_replay(model, sequences, start, seed):
+    """Reference replay: look up, sort, draw and record on every step."""
+    rng = Random(f"{seed}/replay")
+    dataset = TransitionDataset()
+    for seq in sequences:
+        s = start
+        for cap_name in seq:
+            dist = predict(model, s, cap_name)
+            s2 = draw(sorted(dist.items(), key=lambda kv: kv[0].bits), rng.random())
+            dataset.add(Transition(s, cap_name, s2))
+            s = s2
+    return dataset
+
+
+@pytest.fixture(scope="module")
+def roads_replay_case():
+    """Roads start state, random sequences over its capabilities, and three models."""
+    bundle = road_world(seed=0)
+    truth = bundle.ground_truth
+    start = bundle.abstraction(bundle.simulator.reset())
+    learned, _ = run(
+        LearnerConfig(variant="exact", mcts_iterations=50, depth=4, max_queries=20,
+                      runs_per_query=10, seed=0),
+        road_world(seed=0),
+    )
+    learned = evaluation_filter(learned)
+    rng = Random("replay-sequences")
+    names = sorted(truth.capabilities)
+    sequences = [
+        [rng.choice(names) for _ in range(rng.randint(10, 30))] for _ in range(300)
+    ]
+    models = {
+        "truth": truth,
+        "learned": learned,
+        "empty": CapabilityModel(bundle.universe, {}, "pessimistic"),
+    }
+    return start, sequences, models
+
+
+class TestModelReplayTable:
+    @pytest.mark.parametrize("which", ["truth", "learned", "empty"])
+    @pytest.mark.parametrize("seed", [0, 1, 17, "x"])
+    def test_counts_equal_per_step_replay(self, roads_replay_case, which, seed):
+        start, sequences, models = roads_replay_case
+        model = models[which]
+        got = model_replay(model, sequences, start, seed=seed)
+        want = _per_step_replay(model, sequences, start, seed)
+        assert got.counts == want.counts
+
+    def test_learned_model_has_stochastic_drive_rules(self, roads_replay_case):
+        start, _, models = roads_replay_case
+        learned, truth = models["learned"], models["truth"]
+        drives = [c for c in learned.capabilities if c.startswith("achieve__at(")]
+        assert any(
+            len(predict(learned, s, c)) > 1
+            for s in reachable_states(truth, start)
+            for c in drives
+        )
+
+    @pytest.mark.parametrize("which", ["truth", "learned", "empty"])
+    def test_predict_once_per_state_and_capability(self, roads_replay_case, which, monkeypatch):
+        start, sequences, models = roads_replay_case
+        calls: dict[tuple[int, str], int] = {}
+
+        def counting_predict(model, state, capability):
+            key = (state.bits, capability)
+            calls[key] = calls.get(key, 0) + 1
+            return predict(model, state, capability)
+
+        monkeypatch.setattr(evaluation, "predict", counting_predict)
+        model_replay(models[which], sequences, start, seed=3)
+        assert calls
+        assert max(calls.values()) == 1
 
 
 class TestExactVd:
