@@ -420,7 +420,7 @@ def run(
         snapshot_name = None
         if snap_dir is not None:
             snapshot_name = f"query_{query_idx:04d}.json"
-            (snap_dir / snapshot_name).write_text(model_to_json(m_pess))
+            (snap_dir / snapshot_name).write_text(model_to_json(m_pess, indent=None))
         record = QueryRecord(
             index=query_idx,
             policy=policy_to_json(query.policy, universe),

@@ -287,7 +287,12 @@ def _condition_from_json(data: dict, universe: AtomUniverse) -> Condition:
     return Condition(clauses, universe.num_atoms, negated=bool(data["negated"]))
 
 
-def model_to_json(model: CapabilityModel) -> str:
+def model_to_json(model: CapabilityModel, indent: int | None = 2) -> str:
+    """The model as sorted-key JSON ending in a newline.
+
+    `indent=None` writes one line through the C encoder, several times faster
+    than the pure-Python encoder `json.dumps` uses for any `indent`.
+    """
     u = model.universe
     caps = []
     for name in sorted(model.capabilities):
@@ -323,7 +328,7 @@ def model_to_json(model: CapabilityModel) -> str:
         },
         "capabilities": caps,
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, indent=indent, sort_keys=True) + "\n"
 
 
 def model_from_json(text: str, universe: AtomUniverse | None = None) -> CapabilityModel:

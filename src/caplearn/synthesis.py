@@ -14,13 +14,14 @@ optimistic models.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from random import Random
 from typing import Mapping, Sequence
 
 from .abstraction import AbstractState, AtomUniverse, satisfies
-from .distributions import StateDistribution, draw, push_distribution, tv_distance
+from .distributions import StateDistribution, push_distribution, tv_distance
 from .model import CapabilityModel, predict
 
 
@@ -206,17 +207,38 @@ def synthesize_exact(
 # -- sampled variant: set-of-support state samples ---------------------------
 
 
-class _SampleNode:
-    __slots__ = ("state", "reward", "children", "n", "n_edge", "w_edge", "q", "value")
+class _StateTable:
+    """Per-call facts about one abstract state: applicable capabilities and steps.
 
-    def __init__(self, state: AbstractState, reward: float) -> None:
+    `steps[i]` is filled on the first step taken with `caps[i]` and holds three
+    lists in successor bit order: cumulative half/half mixture weights, the
+    successors' bits (keys of the call's tables, so tables form no reference
+    cycles and are freed when the call returns), and each successor's
+    symmetric-difference reward.
+    """
+
+    __slots__ = ("state", "caps", "steps")
+
+    def __init__(self, state: AbstractState, caps: list[str]) -> None:
         self.state = state
+        self.caps = caps
+        self.steps: list[tuple[list[float], list[int], list[float]] | None] = [None] * len(caps)
+
+
+class _SampleNode:
+    """Tree position; edge statistics are lists indexed like `table.caps`."""
+
+    __slots__ = ("table", "reward", "children", "n", "n_edge", "w_edge", "q", "value")
+
+    def __init__(self, table: _StateTable, reward: float) -> None:
+        k = len(table.caps)
+        self.table = table
         self.reward = reward
-        self.children: dict[str, dict[AbstractState, _SampleNode]] = {}
+        self.children: list[dict[int, _SampleNode] | None] = [None] * k
         self.n = 0
-        self.n_edge: dict[str, int] = {}
-        self.w_edge: dict[str, float] = {}
-        self.q: dict[str, float] = {}
+        self.n_edge = [0] * k
+        self.w_edge = [0.0] * k
+        self.q = [-math.inf] * k  # unvisited edges never win max(q)
         self.value = reward
 
 
@@ -237,31 +259,38 @@ def synthesize_sampled(
     the two models' predictions; reaching a state in the symmetric difference
     of the two one-step supports earns reward 1. Q values back up from the
     single observed successor, undiscounted.
+
+    Within one call every state seen gets one table keyed by `state.bits`: its
+    applicable capabilities, computed once, and per capability a step entry
+    built on first use from one `predict` per model (cumulative mixture
+    weights in bit order, successor bits, rewards). A step draws
+    `bisect_right(cum, rng.random())`, the successor `distributions.draw`
+    picks, so the RNG stream (one uniform per sampled step, one `choice`
+    over the applicable capabilities per rollout step) and the result are
+    those of a search that looks everything up per step.
     """
-    caps = sorted(set(m_pess.capabilities) | set(m_opt.capabilities))
-    if not caps or iterations <= 0:
+    all_caps = sorted(set(m_pess.capabilities) | set(m_opt.capabilities))
+    if not all_caps or iterations <= 0:
         return SynthesisResult(StatePolicy(()), 0.0)
 
-    valid_cache: dict[AbstractState, list[str]] = {}
-    step_cache: dict[tuple[AbstractState, str], tuple[list[tuple[AbstractState, float]], frozenset[AbstractState]]] = {}
+    tables: dict[int, _StateTable] = {}
 
-    def valid_caps(state: AbstractState) -> list[str]:
-        got = valid_cache.get(state)
-        if got is None:
-            got = [
+    def table_of(state: AbstractState) -> _StateTable:
+        table = tables.get(state.bits)
+        if table is None:
+            applicable = [
                 c
-                for c in caps
+                for c in all_caps
                 if any(satisfies(state, r.condition) for r in m_pess.rules_for(c))
                 or any(satisfies(state, r.condition) for r in m_opt.rules_for(c))
             ]
-            valid_cache[state] = got
-        return got
+            table = tables[state.bits] = _StateTable(state, applicable)
+        return table
 
-    def step_info(state: AbstractState, cap: str):
-        """Mixture successor list in state order and the symmetric difference."""
-        key = (state, cap)
-        got = step_cache.get(key)
-        if got is None:
+    def sample_step(table: _StateTable, i: int) -> tuple[_StateTable, float]:
+        step = table.steps[i]
+        if step is None:
+            state, cap = table.state, table.caps[i]
             p1 = predict(m_pess, state, cap)
             p2 = predict(m_opt, state, cap)
             mix: dict[AbstractState, float] = {}
@@ -270,88 +299,95 @@ def synthesize_sampled(
             for s2, p in p2.items():
                 mix[s2] = mix.get(s2, 0.0) + 0.5 * p
             ordered = sorted(mix.items(), key=lambda kv: kv[0].bits)
-            delta = frozenset(p1) ^ frozenset(p2)
-            got = (ordered, delta)
-            step_cache[key] = got
-        return got
+            cum: list[float] = []
+            acc = 0.0
+            for s2, w in ordered:
+                table_of(s2)
+                acc += w
+                cum.append(acc)
+            step = table.steps[i] = (
+                cum,
+                [s2.bits for s2, _ in ordered],
+                [1.0 if (s2 in p1) != (s2 in p2) else 0.0 for s2, _ in ordered],
+            )
+        cum, succ, reward = step
+        j = bisect_right(cum, rng.random())
+        if j == len(cum):
+            j -= 1
+        return tables[succ[j]], reward[j]
 
-    def sample_step(state: AbstractState, cap: str) -> tuple[AbstractState, float]:
-        ordered, delta = step_info(state, cap)
-        chosen = draw(ordered, rng.random())
-        return chosen, (1.0 if chosen in delta else 0.0)
-
-    def rollout_return(state: AbstractState, used_depth: int) -> float:
+    def rollout_return(table: _StateTable, used_depth: int) -> float:
         total = 0.0
         for _ in range(rollouts):
             ret = 0.0
-            cur = state
+            cur = table
             for _ in range(depth - used_depth):
-                vc = valid_caps(cur)
-                if not vc:
+                if not cur.caps:
                     break
-                cap = rng.choice(vc)
-                cur, r = sample_step(cur, cap)
+                # randrange(k) consumes the RNG exactly as rng.choice(cur.caps).
+                cur, r = sample_step(cur, rng.randrange(len(cur.caps)))
                 ret += r
             total += ret
         return total / rollouts
 
-    root = _SampleNode(s0, 0.0)
+    root = _SampleNode(table_of(s0), 0.0)
     all_nodes: list[_SampleNode] = [root]
 
     for _ in range(iterations):
         node = root
-        path: list[tuple[_SampleNode, str, _SampleNode]] = []
+        path: list[tuple[_SampleNode, int, _SampleNode]] = []
         fresh = None
         while len(path) < depth:
-            vc = valid_caps(node.state)
-            if not vc:
+            if not node.table.caps:
                 break
-            cap = None
-            for c in vc:
-                if node.n_edge.get(c, 0) == 0:
-                    cap = c
-                    break
-            if cap is None:
-                best = -math.inf
+            n_edge = node.n_edge
+            if 0 in n_edge:
+                i = n_edge.index(0)
+            else:
                 log_n = math.log(node.n)
-                for c in vc:
-                    score = uct_score(node.q[c], log_n, node.n_edge[c], kappa)
-                    if score > best:
-                        best, cap = score, c
-            s2, r = sample_step(node.state, cap)
-            kids = node.children.setdefault(cap, {})
-            child = kids.get(s2)
+                scores = [q + kappa * math.sqrt(log_n / n) for q, n in zip(node.q, n_edge)]
+                i = scores.index(max(scores))
+            succ, r = sample_step(node.table, i)
+            kids = node.children[i]
+            if kids is None:
+                kids = node.children[i] = {}
+            child = kids.get(succ.state.bits)
             if child is None:
-                child = _SampleNode(s2, r)
-                kids[s2] = child
+                child = kids[succ.state.bits] = _SampleNode(succ, r)
                 all_nodes.append(child)
-                path.append((node, cap, child))
+                path.append((node, i, child))
                 fresh = child
                 break
-            path.append((node, cap, child))
+            path.append((node, i, child))
             node = child
         if fresh is not None:
-            fresh.value = fresh.reward + rollout_return(fresh.state, len(path))
-        for parent, cap, child in reversed(path):
+            fresh.value = fresh.reward + rollout_return(fresh.table, len(path))
+        for parent, i, child in reversed(path):
             parent.n += 1
-            parent.n_edge[cap] = parent.n_edge.get(cap, 0) + 1
-            parent.w_edge[cap] = parent.w_edge.get(cap, 0.0) + child.value
-            parent.q[cap] = parent.reward + parent.w_edge[cap] / parent.n_edge[cap]
-            parent.value = max(parent.q.values())
+            n = parent.n_edge[i] = parent.n_edge[i] + 1
+            w = parent.w_edge[i] = parent.w_edge[i] + child.value
+            parent.q[i] = parent.reward + w / n
+            parent.value = max(parent.q)
 
-    score = root.value if root.q else 0.0
+    score = root.value if root.n else 0.0
     # Q(s, c) is state-indexed; pool edge statistics across tree positions
     # sharing the same abstract state before the greedy argmax.
-    pooled: dict[AbstractState, dict[str, tuple[int, float]]] = {}
+    pooled: dict[int, tuple[list[int], list[float]]] = {}
     for nd in all_nodes:
-        per_state = pooled.setdefault(nd.state, {})
-        for c, n_e in nd.n_edge.items():
-            if n_e < 1:
-                continue
-            n0, w0 = per_state.get(c, (0, 0.0))
-            per_state[c] = (n0 + n_e, w0 + nd.w_edge[c])
+        if not nd.n:
+            continue
+        got = pooled.get(nd.table.state.bits)
+        if got is None:
+            pooled[nd.table.state.bits] = (list(nd.n_edge), list(nd.w_edge))
+            continue
+        n_sum, w_sum = got
+        for i, (n, w) in enumerate(zip(nd.n_edge, nd.w_edge)):
+            n_sum[i] += n
+            w_sum[i] += w
     mapping: dict[AbstractState, str] = {}
-    for state, stats in pooled.items():
-        if stats:
-            mapping[state] = min(stats, key=lambda c: (-(stats[c][1] / stats[c][0]), c))
+    for bits, (n_sum, w_sum) in pooled.items():
+        table = tables[bits]
+        visited = [i for i, n in enumerate(n_sum) if n]
+        best = min(visited, key=lambda i: (-(w_sum[i] / n_sum[i]), table.caps[i]))
+        mapping[table.state] = table.caps[best]
     return SynthesisResult(StatePolicy.from_dict(mapping), score)

@@ -17,7 +17,7 @@ from caplearn.learner import (
     run_capability,
     sample_initial_state,
 )
-from caplearn.model import entails, entailed_successors, model_to_json
+from caplearn.model import entails, entailed_successors, load_model, model_to_json
 from caplearn.synthesis import Query, SequencePolicy, StatePolicy
 
 
@@ -335,6 +335,15 @@ class TestRun:
         lines = (tmp_path / "runlog.jsonl").read_text().splitlines()
         assert len(lines) == 4  # three query records plus the closing summary
         assert json.loads(lines[0])["index"] == 0
+
+    def test_snapshots_compact_final_model_indented(self, tmp_path):
+        b = vacuum_world(seed="5/env")
+        run(self._config(max_queries=3), b, out_dir=tmp_path)
+        last = (tmp_path / "snapshots" / "query_0002.json").read_text()
+        final = (tmp_path / "final_model.json").read_text()
+        assert last.endswith("}\n") and "\n" not in last[:-1]
+        assert model_to_json(load_model(tmp_path / "snapshots" / "query_0002.json")) == final
+        assert final.startswith("{\n  ")
 
     def test_empty_agent_trajectory_counts_as_failure(self):
         b = vacuum_world(seed="5/env")

@@ -363,6 +363,19 @@ class TestSerialization:
             for c in truth.capabilities:
                 assert predict(back, s, c) == predict(truth, s, c)
 
+    def test_compact_json_roundtrip_preserves_predictions(self):
+        from caplearn.envs import road_world
+
+        truth = road_world(seed=1).ground_truth
+        text = model_to_json(truth, indent=None)
+        assert "\n" not in text[:-1]
+        back = model_from_json(text)
+        assert model_to_json(back) == model_to_json(truth)
+        n = truth.universe.num_atoms
+        for s in (AbstractState(bits, n) for bits in range(0, 1 << n, 97)):
+            for c in truth.capabilities:
+                assert predict(back, s, c) == predict(truth, s, c)
+
     def test_text_export_lists_name_intent_condition_effects(self):
         from caplearn.envs import vacuum_world
 

@@ -3,26 +3,31 @@ from random import Random
 
 import pytest
 
-from caplearn.abstraction import Condition, LiteralConjunction, literal_of
+from caplearn import synthesis
+from caplearn.abstraction import AbstractState, Condition, LiteralConjunction, literal_of, satisfies
 from caplearn.dataset import EffectPair, Transition, TransitionDataset
 from caplearn.distributions import (
     StateDistribution,
+    draw,
     push_distribution,
     sd_reward,
     tv_distance,
 )
-from caplearn.envs import vacuum_world
+from caplearn.envs import road_world, stochastic_blocks, vacuum_world
 from caplearn.evaluation import ground_truth_transitions, reachable_states
+from caplearn.learner import LearnerConfig, run
 from caplearn.model import (
     Capability,
     CapabilityModel,
     ConditionalEffectRule,
     build_models,
     equivalent,
+    predict,
 )
 from caplearn.synthesis import (
     SequencePolicy,
     StatePolicy,
+    SynthesisResult,
     random_policy_query,
     synthesize_exact,
     synthesize_sampled,
@@ -234,6 +239,250 @@ class TestSynthesizeSampled:
         r1 = synthesize_sampled(s0, m1, m2, 500, 1.0, 2, Random("s"))
         r2 = synthesize_sampled(s0, m1, m2, 500, 1.0, 2, Random("s"))
         assert r1 == r2
+
+
+class _RefNode:
+    def __init__(self, state, reward):
+        self.state = state
+        self.reward = reward
+        self.children = {}
+        self.n = 0
+        self.n_edge = {}
+        self.w_edge = {}
+        self.q = {}
+        self.value = reward
+
+
+def _reference_synthesize_sampled(s0, m_pess, m_opt, iterations, kappa, depth, rng, rollouts=1):
+    """Sampled MCTS keyed by `AbstractState`, looking each step up through dicts.
+
+    The tree and its statistics are dicts keyed by state and capability name;
+    each sampled step draws through `distributions.draw` and each UCT choice
+    goes through `uct_score`.
+    """
+    caps = sorted(set(m_pess.capabilities) | set(m_opt.capabilities))
+    if not caps or iterations <= 0:
+        return SynthesisResult(StatePolicy(()), 0.0)
+    valid_cache = {}
+    step_cache = {}
+
+    def valid_caps(state):
+        got = valid_cache.get(state)
+        if got is None:
+            got = [
+                c
+                for c in caps
+                if any(satisfies(state, r.condition) for r in m_pess.rules_for(c))
+                or any(satisfies(state, r.condition) for r in m_opt.rules_for(c))
+            ]
+            valid_cache[state] = got
+        return got
+
+    def sample_step(state, cap):
+        got = step_cache.get((state, cap))
+        if got is None:
+            p1 = predict(m_pess, state, cap)
+            p2 = predict(m_opt, state, cap)
+            mix = {}
+            for s2, p in p1.items():
+                mix[s2] = mix.get(s2, 0.0) + 0.5 * p
+            for s2, p in p2.items():
+                mix[s2] = mix.get(s2, 0.0) + 0.5 * p
+            ordered = sorted(mix.items(), key=lambda kv: kv[0].bits)
+            got = step_cache[(state, cap)] = (ordered, frozenset(p1) ^ frozenset(p2))
+        ordered, delta = got
+        chosen = draw(ordered, rng.random())
+        return chosen, (1.0 if chosen in delta else 0.0)
+
+    def rollout_return(state, used_depth):
+        total = 0.0
+        for _ in range(rollouts):
+            ret = 0.0
+            cur = state
+            for _ in range(depth - used_depth):
+                vc = valid_caps(cur)
+                if not vc:
+                    break
+                cur, r = sample_step(cur, rng.choice(vc))
+                ret += r
+            total += ret
+        return total / rollouts
+
+    root = _RefNode(s0, 0.0)
+    all_nodes = [root]
+    for _ in range(iterations):
+        node = root
+        path = []
+        fresh = None
+        while len(path) < depth:
+            vc = valid_caps(node.state)
+            if not vc:
+                break
+            cap = None
+            for c in vc:
+                if node.n_edge.get(c, 0) == 0:
+                    cap = c
+                    break
+            if cap is None:
+                best = -math.inf
+                log_n = math.log(node.n)
+                for c in vc:
+                    score = uct_score(node.q[c], log_n, node.n_edge[c], kappa)
+                    if score > best:
+                        best, cap = score, c
+            s2, r = sample_step(node.state, cap)
+            kids = node.children.setdefault(cap, {})
+            child = kids.get(s2)
+            if child is None:
+                child = _RefNode(s2, r)
+                kids[s2] = child
+                all_nodes.append(child)
+                path.append((node, cap, child))
+                fresh = child
+                break
+            path.append((node, cap, child))
+            node = child
+        if fresh is not None:
+            fresh.value = fresh.reward + rollout_return(fresh.state, len(path))
+        for parent, cap, child in reversed(path):
+            parent.n += 1
+            parent.n_edge[cap] = parent.n_edge.get(cap, 0) + 1
+            parent.w_edge[cap] = parent.w_edge.get(cap, 0.0) + child.value
+            parent.q[cap] = parent.reward + parent.w_edge[cap] / parent.n_edge[cap]
+            parent.value = max(parent.q.values())
+
+    score = root.value if root.q else 0.0
+    pooled = {}
+    for nd in all_nodes:
+        per_state = pooled.setdefault(nd.state, {})
+        for c, n_e in nd.n_edge.items():
+            n0, w0 = per_state.get(c, (0, 0.0))
+            per_state[c] = (n0 + n_e, w0 + nd.w_edge[c])
+    mapping = {
+        state: min(stats, key=lambda c: (-(stats[c][1] / stats[c][0]), c))
+        for state, stats in pooled.items()
+        if stats
+    }
+    return SynthesisResult(StatePolicy.from_dict(mapping), score)
+
+
+_LEARNERS = {"vacuum": vacuum_world, "roads": road_world, "blocks": stochastic_blocks}
+
+
+@pytest.fixture(scope="module")
+def learned_pairs():
+    """(env, seed) -> (start states, model pairs) from short sampled `learner.run`s.
+
+    A pair is rebuilt from the hook's model and dataset at query 2 and at the
+    last query; the starts are the reset state and a spread of observed states.
+    """
+    cache = {}
+
+    def get(env, seed):
+        if (env, seed) not in cache:
+            bundle = _LEARNERS[env](seed=seed)
+            pairs = []
+
+            def hook(idx, model, log, dataset):
+                if idx in (2, 11):
+                    pairs.append(build_models(model.capabilities.values(), dataset, model.universe))
+
+            run(LearnerConfig(variant="sampled", mcts_iterations=60, depth=4, max_queries=12,
+                              runs_per_query=5, seed=seed), bundle, checkpoint_hook=hook)
+            assert len(pairs) == 2
+            last = pairs[-1][0]
+            observed = sorted(
+                {s for c in last.capabilities for s in _observed(last, c)}, key=lambda s: s.bits
+            )
+            spread = observed[:: max(1, len(observed) // 3)][:3]
+            starts = [bundle.abstraction(bundle.simulator.reset())] + spread
+            cache[env, seed] = (starts, pairs)
+        return cache[env, seed]
+
+    return get
+
+
+def _observed(model, capability):
+    """States named by the full-literal clauses of the capability's pessimistic rules."""
+    return [
+        AbstractState(cl.positives, model.universe.num_atoms)
+        for r in model.rules_for(capability)
+        for cl in r.condition.clauses
+    ]
+
+
+def _assert_same_as_reference(s0, m_pess, m_opt, iterations, kappa, depth, seed, rollouts):
+    rng_new, rng_ref = Random(seed), Random(seed)
+    got = synthesize_sampled(s0, m_pess, m_opt, iterations, kappa, depth, rng_new, rollouts)
+    want = _reference_synthesize_sampled(
+        s0, m_pess, m_opt, iterations, kappa, depth, rng_ref, rollouts
+    )
+    assert got.policy.mapping == want.policy.mapping
+    assert got.score == want.score
+    assert rng_new.getstate() == rng_ref.getstate()
+    return got
+
+
+class TestSynthesizeSampledReference:
+    @pytest.mark.parametrize("depth", [1, 2, 6])
+    @pytest.mark.parametrize("rollouts", [1, 2])
+    def test_toy_support_difference_models(self, depth, rollouts):
+        u, s0, m1, m2 = _toy_support_difference_models()
+        got = _assert_same_as_reference(
+            s0, m1, m2, 300, math.sqrt(2), depth, f"toy{depth}", rollouts
+        )
+        assert got.score > 0.0
+
+    @pytest.mark.parametrize("env,seed", [
+        ("vacuum", 0), ("vacuum", 1), ("roads", 0), ("roads", 1), ("roads", 2),
+        ("blocks", 0), ("blocks", 1),
+    ])
+    def test_learned_model_pairs(self, learned_pairs, env, seed):
+        starts, pairs = learned_pairs(env, seed)
+        scored = 0
+        for m_pess, m_opt in pairs:
+            for k, s0 in enumerate(starts):
+                for depth in (1, 6):
+                    for rollouts in (1, 2):
+                        got = _assert_same_as_reference(
+                            s0, m_pess, m_opt, 150, math.sqrt(2), depth,
+                            f"{env}/{seed}/{k}/{depth}", rollouts,
+                        )
+                        scored += got.score > 0.0
+        assert scored  # some searches found a distinguishing step
+
+    def test_greedy_kappa_and_few_iterations(self, learned_pairs):
+        starts, pairs = learned_pairs("roads", 0)
+        for m_pess, m_opt in pairs:
+            for iterations in (1, 2, 7):
+                _assert_same_as_reference(starts[0], m_pess, m_opt, iterations, 0.0, 6, "g", 1)
+
+    def test_no_applicable_capability(self):
+        u = small_universe(3)
+        s0 = u.encode([])
+        m_pess, m_opt = build_models(
+            [Capability("c", LiteralConjunction(1, 0))], TransitionDataset(), u
+        )
+        got = _assert_same_as_reference(s0, m_pess, m_opt, 100, 1.0, 3, 0, 2)
+        assert got == SynthesisResult(StatePolicy(()), 0.0)
+
+    @pytest.mark.parametrize("env", ["roads", "blocks"])
+    def test_predict_once_per_model_state_and_capability(self, learned_pairs, env, monkeypatch):
+        starts, pairs = learned_pairs(env, 0)
+        m_pess, m_opt = pairs[-1]
+        calls: dict[tuple[str, int, str], int] = {}
+
+        def counting_predict(model, state, capability):
+            key = (model.flavor, state.bits, capability)
+            calls[key] = calls.get(key, 0) + 1
+            return predict(model, state, capability)
+
+        monkeypatch.setattr(synthesis, "predict", counting_predict)
+        for s0 in starts:
+            calls.clear()
+            synthesize_sampled(s0, m_pess, m_opt, 300, math.sqrt(2), 6, Random(1), rollouts=2)
+            assert calls
+            assert max(calls.values()) == 1
 
 
 class TestPolicyTypes:
