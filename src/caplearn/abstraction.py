@@ -5,6 +5,13 @@ universe of well-typed ground atoms. Conditions are disjunctions of literal
 conjunctions (or the negation of one such disjunction), each clause stored as
 a pair of positive/negative bit masks so satisfaction checks reduce to two
 bitwise operations per clause.
+
+The hot value types, `AbstractState` and `LiteralConjunction` here and
+`dataset.EffectPair` and `dataset.Transition`, are immutable named tuples of
+their fields, e.g. ``(bits, num_atoms)``. Hashing, equality and field access
+run in C, and a value hashes exactly as the plain tuple of its fields does.
+Equality is by fields alone, so a state equals the plain tuple
+``(bits, num_atoms)``; no container mixes the value types.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 
 class ConfigurationError(ValueError):
@@ -50,31 +57,47 @@ class GroundAtom:
         return GroundAtom(m.group(1), args)
 
 
-@dataclass(frozen=True)
-class AbstractState:
-    """Bit vector over a universe's atoms; bit j is the truth of atom j."""
-
+class _StateFields(NamedTuple):
     bits: int
     num_atoms: int
 
-    def __post_init__(self) -> None:
-        if self.bits < 0 or self.bits >> self.num_atoms:
-            raise DimensionError(f"bits 0x{self.bits:x} exceed {self.num_atoms} atoms")
+
+class AbstractState(_StateFields):
+    """Bit vector over a universe's atoms; bit j is the truth of atom j.
+
+    An immutable ``(bits, num_atoms)`` tuple: it hashes as that tuple and
+    equals any tuple with the same fields, including a plain one.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, bits: int, num_atoms: int) -> "AbstractState":
+        if bits < 0 or bits >> num_atoms:
+            raise DimensionError(f"bits 0x{bits:x} exceed {num_atoms} atoms")
+        return tuple.__new__(cls, (bits, num_atoms))
 
     def atom_indices(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.num_atoms) if self.bits >> i & 1)
 
 
-@dataclass(frozen=True)
-class LiteralConjunction:
-    """A conjunction of literals: asserted atoms and denied atoms as masks."""
-
+class _LiteralFields(NamedTuple):
     positives: int
     negatives: int
 
-    def __post_init__(self) -> None:
-        if self.positives & self.negatives:
+
+class LiteralConjunction(_LiteralFields):
+    """A conjunction of literals: asserted atoms and denied atoms as masks.
+
+    An immutable ``(positives, negatives)`` tuple: it hashes as that tuple and
+    equals any tuple with the same fields, including a plain one.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, positives: int, negatives: int) -> "LiteralConjunction":
+        if positives & negatives:
             raise ConfigurationError("an atom is both asserted and denied")
+        return tuple.__new__(cls, (positives, negatives))
 
     def satisfied_by(self, bits: int) -> bool:
         return bits & self.positives == self.positives and bits & self.negatives == 0

@@ -3,32 +3,42 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .abstraction import AbstractState, AtomUniverse
 
 
-@dataclass(frozen=True)
-class Transition:
-    """One observed abstract transition under a capability."""
+class Transition(NamedTuple):
+    """One observed abstract transition under a capability.
+
+    An immutable ``(s, c, s_next)`` tuple: it hashes as that tuple and equals
+    any tuple with the same fields, including a plain one.
+    """
 
     s: AbstractState
     c: str
     s_next: AbstractState
 
 
-@dataclass(frozen=True)
-class EffectPair:
-    """Atoms gained and atoms lost across a transition, as bit masks."""
-
+class _EffectFields(NamedTuple):
     add: int
     delete: int
 
-    def __post_init__(self) -> None:
-        if self.add & self.delete:
+
+class EffectPair(_EffectFields):
+    """Atoms gained and atoms lost across a transition, as bit masks.
+
+    An immutable ``(add, delete)`` tuple: it hashes as that tuple and equals
+    any tuple with the same fields, including a plain one.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, add: int, delete: int) -> "EffectPair":
+        if add & delete:
             raise ValueError("effect adds and deletes the same atom")
+        return tuple.__new__(cls, (add, delete))
 
     @property
     def is_noop(self) -> bool:
@@ -59,8 +69,9 @@ class TransitionDataset:
         """Insert `count` occurrences; returns True iff the triple was unseen."""
         if count < 1:
             raise ValueError("count must be positive")
-        novel = transition not in self.counts
-        self.counts[transition] = self.counts.get(transition, 0) + count
+        seen = self.counts.get(transition, 0)
+        self.counts[transition] = seen + count
+        novel = seen == 0
         if novel:
             by_state = self._by_cap_state.setdefault(transition.c, {})
             by_state.setdefault(transition.s, set()).add(transition)

@@ -100,15 +100,12 @@ class Partition:
         return sum(n for _, n in self.effect_counts)
 
 
-def _effect_key(e: EffectPair) -> tuple[int, int]:
-    return (e.add, e.delete)
-
-
 def partition(dataset: TransitionDataset, capability: str) -> list[Partition]:
     """Group observed initial states of `capability` by equal effect sets.
 
-    Returned in canonical order (by sorted effect keys, then member states)
-    so downstream rule lists are deterministic.
+    Returned in canonical order (by sorted effects, which order as their
+    `(add, delete)` tuples, then member states) so downstream rule lists are
+    deterministic.
     """
     groups: dict[frozenset[EffectPair], set[AbstractState]] = {}
     for s in dataset.observed_states(capability):
@@ -120,14 +117,14 @@ def partition(dataset: TransitionDataset, capability: str) -> list[Partition]:
         for s in states:
             for t in dataset.transitions_from(capability, s):
                 counts[effects_of(t)] += dataset.counts[t]
-        ordered = tuple(sorted(counts.items(), key=lambda kv: _effect_key(kv[0])))
+        ordered = tuple(sorted(counts.items()))
         parts.append(Partition(frozenset(states), effs, ordered))
     # No-op-only partitions sort last so that prediction for states accepted
     # by several optimistic conditions generalizes an informative partition.
     parts.sort(
         key=lambda p: (
             all(e.is_noop for e in p.effects),
-            sorted(_effect_key(e) for e in p.effects),
+            sorted(p.effects),
             min(s.bits for s in p.states),
         )
     )
@@ -145,10 +142,14 @@ def pessimistic_condition(part: Partition, universe: AtomUniverse) -> Condition:
 def optimistic_condition(
     all_parts: Sequence[Partition], target: Partition, universe: AtomUniverse
 ) -> Condition:
-    """Negated disjunction of every state observed in the other partitions."""
+    """Negated disjunction of every state observed in the other partitions.
+
+    `partition` returns one partition per distinct effect set, so the effect
+    set alone tells `target` apart from the others.
+    """
     other_states: list[AbstractState] = []
     for p in all_parts:
-        if p is target or p == target:
+        if p.effects == target.effects:
             continue
         other_states.extend(p.states)
     clauses = tuple(literal_of(s) for s in sorted(set(other_states), key=lambda s: s.bits))

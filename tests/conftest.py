@@ -7,6 +7,8 @@ operations, so agreement with the implementation is meaningful.
 
 from __future__ import annotations
 
+import copy
+import pickle
 from random import Random
 
 import pytest
@@ -64,6 +66,25 @@ def naive_satisfies(state_indices: frozenset[int], condition: Condition) -> bool
 
 def naive_apply(state_indices: frozenset[int], effect: EffectPair) -> frozenset[int]:
     return (state_indices - bits_to_index_set(effect.delete)) | bits_to_index_set(effect.add)
+
+
+def check_value_contract(value, fields: dict, text: str) -> None:
+    """An immutable tuple of `fields`: C-level hash and equality, dataclass repr."""
+    cls = type(value)
+    assert cls.__hash__ is tuple.__hash__ and cls.__eq__ is tuple.__eq__
+    plain = tuple(fields.values())
+    assert hash(value) == hash(plain)
+    assert value == plain
+    assert repr(value) == text
+    for name, field_value in fields.items():
+        assert getattr(value, name) == field_value
+        with pytest.raises(AttributeError):
+            setattr(value, name, field_value)
+    with pytest.raises(AttributeError):
+        value.extra = 0
+    for back in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert type(back) is cls
+        assert back == value
 
 
 def random_state(universe: AtomUniverse, rng: Random) -> AbstractState:

@@ -1,3 +1,4 @@
+import re
 from random import Random
 
 import pytest
@@ -18,7 +19,13 @@ from caplearn.abstraction import (
     parse_literal,
     satisfies,
 )
-from .conftest import bits_to_index_set, naive_satisfies, random_condition, random_state
+from .conftest import (
+    bits_to_index_set,
+    check_value_contract,
+    naive_satisfies,
+    random_condition,
+    random_state,
+)
 
 
 class TestBuildUniverse:
@@ -139,7 +146,7 @@ class TestLiteralOf:
         assert bits_to_index_set(lit.negatives) == {u.atom_index("clean(l1)")}
 
     def test_overlapping_masks_rejected(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="^an atom is both asserted and denied$"):
             LiteralConjunction(0b01, 0b01)
 
 
@@ -187,8 +194,9 @@ class TestSatisfies:
 
 class TestStateValidation:
     def test_bits_must_fit(self):
-        with pytest.raises(DimensionError):
-            AbstractState(0b100, 2)
+        for bits, message in [(0b100, "bits 0x4 exceed 2 atoms"), (-1, "bits 0x-1 exceed 2 atoms")]:
+            with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+                AbstractState(bits, 2)
 
     def test_literal_string_roundtrip(self, vacuum_universe):
         u = vacuum_universe
@@ -198,3 +206,30 @@ class TestStateValidation:
     def test_atom_parse_rejects_garbage(self):
         with pytest.raises(EncodingError):
             GroundAtom.parse("not an atom")
+
+
+class TestValueTypes:
+    def test_abstract_state_contract(self):
+        check_value_contract(
+            AbstractState(0b101, 3),
+            {"bits": 0b101, "num_atoms": 3},
+            "AbstractState(bits=5, num_atoms=3)",
+        )
+        assert AbstractState(num_atoms=3, bits=0b101).atom_indices() == (0, 2)
+
+    def test_literal_conjunction_contract(self):
+        lit = LiteralConjunction(0b001, 0b110)
+        check_value_contract(
+            lit,
+            {"positives": 0b001, "negatives": 0b110},
+            "LiteralConjunction(positives=1, negatives=6)",
+        )
+        assert lit.touched == 0b111
+        assert lit.satisfied_by(0b001) and not lit.satisfied_by(0b011)
+
+    def test_frozenset_order_matches_plain_tuples(self):
+        rng = Random("frozenset-order")
+        fields = [(rng.randrange(1 << n), n) for n in rng.choices(range(1, 40), k=300)]
+        states = [AbstractState(bits, n) for bits, n in fields]
+        assert [tuple(s) for s in frozenset(states)] == list(frozenset(fields))
+        assert [tuple(s) for s in set(states)] == list(set(fields))

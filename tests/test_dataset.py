@@ -12,7 +12,7 @@ from caplearn.dataset import (
     effects_of,
 )
 from caplearn.model import apply_effect
-from .conftest import bits_to_index_set, naive_apply, random_state
+from .conftest import bits_to_index_set, check_value_contract, naive_apply, random_state
 
 
 def _state(bits, n=5):
@@ -41,7 +41,7 @@ class TestEffectsOf:
         assert bits_to_index_set(eff.delete) == {u.atom_index("charged(robot)")}
 
     def test_add_delete_disjoint_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^effect adds and deletes the same atom$"):
             EffectPair(0b1, 0b1)
 
     @given(st.integers(0, 31), st.integers(0, 31))
@@ -158,3 +158,20 @@ class TestSerialization:
         assert back.total() == 5
         assert back.state_visit_count(s0) == 5
         assert back.transitions_from("c", s0) == ds.transitions_from("c", s0)
+
+
+class TestValueTypes:
+    def test_effect_pair_contract(self):
+        eff = EffectPair(0b01, 0b10)
+        check_value_contract(eff, {"add": 0b01, "delete": 0b10}, "EffectPair(add=1, delete=2)")
+        assert not eff.is_noop and EffectPair(delete=0, add=0).is_noop
+
+    def test_transition_contract(self):
+        s, s2 = AbstractState(1, 2), AbstractState(2, 2)
+        check_value_contract(
+            Transition(s, "go", s2),
+            {"s": s, "c": "go", "s_next": s2},
+            "Transition(s=AbstractState(bits=1, num_atoms=2), c='go', "
+            "s_next=AbstractState(bits=2, num_atoms=2))",
+        )
+        assert hash(Transition(s_next=s2, c="go", s=s)) == hash(((1, 2), "go", (2, 2)))
