@@ -1,4 +1,8 @@
-"""Built-in desk-scale environments with scripted agents and known ground truth."""
+"""Built-in desk-scale environments with scripted agents and known ground truth.
+
+Each ground truth is derived from the agent's table and the simulator's
+actions by `TableAgent.ground_truth`; no world writes its model by hand.
+"""
 
 from __future__ import annotations
 

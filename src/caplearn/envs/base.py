@@ -4,12 +4,14 @@ Environment states are frozensets of ground-atom names. The abstraction,
 simulator and agent all map them to bits through the universe's memoized
 `encode`. All stochasticity lives in the simulator's RNG, which can be
 snapshotted and restored so reverting to a previously encountered state
-reproduces trajectory suffixes exactly.
+reproduces trajectory suffixes exactly. Each environment's ground-truth
+capability model is derived from its agent's table and its simulator's
+actions (`TableAgent.ground_truth`), so the dynamics are written once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 from typing import Callable, Mapping, Sequence
 
@@ -17,10 +19,13 @@ from ..abstraction import (
     AbstractState,
     AtomUniverse,
     Condition,
+    ConfigurationError,
     LiteralConjunction,
     literal_string,
 )
-from ..model import CapabilityModel
+from ..dataset import EffectPair
+from ..distributions import draw
+from ..model import Capability, CapabilityModel, ConditionalEffectRule, capability_name, make_intent
 
 EnvState = frozenset
 
@@ -61,6 +66,7 @@ class AtomSimulator:
         self.actions: dict[str, ActionDef] = {a.name: a for a in sorted(actions, key=lambda a: a.name)}
         if len(self.actions) != len(actions):
             raise ValueError("duplicate action names")
+        self._weighted = {n: tuple((o, o.prob) for o in a.outcomes) for n, a in self.actions.items()}
         self._rng = Random(f"{seed}/sim")
         self._state = self._reset_state
 
@@ -89,14 +95,7 @@ class AtomSimulator:
         adef = self.actions[action]
         if not adef.precondition.accepts_bits(self.universe.encode(self._state).bits):
             return self._state
-        u = self._rng.random()
-        acc = 0.0
-        chosen = adef.outcomes[-1]
-        for outcome in adef.outcomes:
-            acc += outcome.prob
-            if u < acc:
-                chosen = outcome
-                break
+        chosen = draw(self._weighted[action], self._rng.random())
         self._state = frozenset(self._state - chosen.delete | chosen.add)
         return self._state
 
@@ -142,6 +141,45 @@ class TableAgent:
                 break
         return traj
 
+    def ground_truth(self, actions: Mapping[str, ActionDef]) -> CapabilityModel:
+        """The capability model that `attempt` realizes over `actions`.
+
+        An intent that already holds leaves the state unchanged; otherwise the
+        first applicable candidate runs. So each candidate, in priority order,
+        gives one rule: its precondition clauses, each conjoined with the
+        denied intent literal, with its outcomes as effects. A final rule
+        leaves every state no candidate accepts unchanged. This holds only
+        for single-literal intents over unnegated preconditions.
+        """
+        u = self.universe
+        caps: dict[str, Capability] = {}
+        for key, candidates in self.table.items():
+            intent = make_intent(key, u)
+            # `attempt` finds a key by its canonical rendering; any other
+            # spelling would be a capability the agent never performs.
+            if intent.touched.bit_count() != 1 or literal_string(intent, u) != key:
+                raise ConfigurationError(f"agent table key {key!r} is not one literal in canonical form")
+            rules = []
+            acting: list[LiteralConjunction] = []
+            for name in candidates:
+                action = actions[name]
+                if action.precondition.negated:
+                    raise ConfigurationError(f"action {name}: negated precondition")
+                clauses = tuple(
+                    LiteralConjunction(cl.positives | intent.negatives, cl.negatives | intent.positives)
+                    for cl in action.precondition.clauses
+                )
+                acting.extend(clauses)
+                effects = tuple(
+                    (o.prob, EffectPair(u.mask_of(o.add), u.mask_of(o.delete))) for o in action.outcomes
+                )
+                rules.append(ConditionalEffectRule(Condition(clauses, u.num_atoms), effects))
+            noop = Condition(tuple(acting), u.num_atoms, negated=True)
+            rules.append(ConditionalEffectRule(noop, ((1.0, EffectPair(0, 0)),)))
+            name = capability_name(intent, u)
+            caps[name] = Capability(name, intent, tuple(rules))
+        return CapabilityModel(u, caps, "ground-truth")
+
 
 @dataclass
 class EnvironmentBundle:
@@ -153,14 +191,6 @@ class EnvironmentBundle:
     agent: TableAgent
     abstraction: Callable[[EnvState], AbstractState]
     ground_truth: CapabilityModel
-    params: dict = field(default_factory=dict)
-
-
-def make_abstraction(universe: AtomUniverse) -> Callable[[EnvState], AbstractState]:
-    def abstraction(atoms: EnvState) -> AbstractState:
-        return universe.encode(atoms)
-
-    return abstraction
 
 
 def clause(universe: AtomUniverse, pos: Sequence[str] = (), neg: Sequence[str] = ()) -> LiteralConjunction:

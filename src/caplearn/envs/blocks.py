@@ -10,18 +10,7 @@ from __future__ import annotations
 from itertools import permutations
 
 from ..abstraction import ConfigurationError, build_universe
-from ..model import Capability, CapabilityModel, ConditionalEffectRule, capability_name, make_intent
-from ..dataset import EffectPair
-from .base import (
-    ActionDef,
-    ActionOutcome,
-    AtomSimulator,
-    EnvironmentBundle,
-    TableAgent,
-    clause,
-    dnf,
-    make_abstraction,
-)
+from .base import ActionDef, ActionOutcome, AtomSimulator, EnvironmentBundle, TableAgent, clause, dnf
 
 
 def stochastic_blocks(n_blocks: int = 3, slip: float = 0.25, seed: int | str = 0) -> EnvironmentBundle:
@@ -39,7 +28,6 @@ def stochastic_blocks(n_blocks: int = 3, slip: float = 0.25, seed: int | str = 0
         },
         objects={b: "block" for b in blocks},
     )
-    m = universe.mask_of
     holding_all = [f"holding({b})" for b in blocks]
 
     def on(a, b):
@@ -112,73 +100,6 @@ def stochastic_blocks(n_blocks: int = 3, slip: float = 0.25, seed: int | str = 0
         table[on(a, b)] = (f"stack_{a}_{b}",)
     agent = TableAgent(universe, table)
 
-    caps = {}
-    for a in blocks:
-        intent = make_intent(holding(a), universe)
-        from_table = clause(universe, pos=[ontable(a), clear_(a)], neg=holding_all)
-        rules = [
-            ConditionalEffectRule(
-                dnf(universe, [from_table]),
-                ((1.0, EffectPair(m([holding(a)]), m([ontable(a), clear_(a)]))),),
-            )
-        ]
-        acting = [from_table]
-        for b in blocks:
-            if b == a:
-                continue
-            cl = clause(universe, pos=[on(a, b), clear_(a)], neg=holding_all)
-            acting.append(cl)
-            rules.append(
-                ConditionalEffectRule(
-                    dnf(universe, [cl]),
-                    ((1.0, EffectPair(m([holding(a), clear_(b)]), m([on(a, b), clear_(a)]))),),
-                )
-            )
-        rules.append(
-            ConditionalEffectRule(dnf(universe, acting, negated=True), ((1.0, EffectPair(0, 0)),))
-        )
-        caps[capability_name(intent, universe)] = Capability(
-            capability_name(intent, universe), intent, tuple(rules)
-        )
-
-        intent_t = make_intent(ontable(a), universe)
-        hold_cl = clause(universe, pos=[holding(a)], neg=[ontable(a)])
-        caps[capability_name(intent_t, universe)] = Capability(
-            capability_name(intent_t, universe),
-            intent_t,
-            (
-                ConditionalEffectRule(
-                    dnf(universe, [hold_cl]),
-                    ((1.0, EffectPair(m([ontable(a), clear_(a)]), m([holding(a)]))),),
-                ),
-                ConditionalEffectRule(
-                    dnf(universe, [hold_cl], negated=True), ((1.0, EffectPair(0, 0)),)
-                ),
-            ),
-        )
-
-    for a, b in permutations(blocks, 2):
-        intent = make_intent(on(a, b), universe)
-        cl = clause(universe, pos=[holding(a), clear_(b)], neg=[on(a, b)])
-        effects = [
-            (
-                1.0 - slip,
-                EffectPair(m([on(a, b), clear_(a)]), m([holding(a), clear_(b)])),
-            )
-        ]
-        if slip > 0.0:
-            effects.append((slip, EffectPair(m([ontable(a), clear_(a)]), m([holding(a)]))))
-        caps[capability_name(intent, universe)] = Capability(
-            capability_name(intent, universe),
-            intent,
-            (
-                ConditionalEffectRule(dnf(universe, [cl]), tuple(effects)),
-                ConditionalEffectRule(dnf(universe, [cl], negated=True), ((1.0, EffectPair(0, 0)),)),
-            ),
-        )
-
-    ground_truth = CapabilityModel(universe, caps, "ground-truth")
     return EnvironmentBundle(
-        "blocks", universe, simulator, agent, make_abstraction(universe), ground_truth,
-        params={"n_blocks": n_blocks, "slip": slip},
+        "blocks", universe, simulator, agent, universe.encode, agent.ground_truth(simulator.actions)
     )

@@ -9,18 +9,7 @@ lollipop (l1 feeds a 5-cycle), so l1 is unreachable from everywhere else.
 from __future__ import annotations
 
 from ..abstraction import build_universe
-from ..model import Capability, CapabilityModel, ConditionalEffectRule, capability_name, make_intent
-from ..dataset import EffectPair
-from .base import (
-    ActionDef,
-    ActionOutcome,
-    AtomSimulator,
-    EnvironmentBundle,
-    TableAgent,
-    clause,
-    dnf,
-    make_abstraction,
-)
+from .base import ActionDef, ActionOutcome, AtomSimulator, EnvironmentBundle, TableAgent, clause, dnf
 
 LOCATIONS = ["l1", "l2", "l3", "l4", "l5", "l6"]
 EDGES = [("l1", "l2"), ("l2", "l3"), ("l3", "l4"), ("l4", "l5"), ("l5", "l6"), ("l6", "l2")]
@@ -52,7 +41,6 @@ def road_world(seed: int | str = 0) -> EnvironmentBundle:
             "spare": "spare",
         },
     )
-    m = universe.mask_of
 
     actions = []
     for src, dst in EDGES:
@@ -95,65 +83,6 @@ def road_world(seed: int | str = 0) -> EnvironmentBundle:
             table[_at(dst)] = drives
     agent = TableAgent(universe, table)
 
-    caps = {}
-    for dst in LOCATIONS:
-        incoming = [src for src, d in EDGES if d == dst]
-        if not incoming:
-            continue
-        intent = make_intent(_at(dst), universe)
-        acting_clauses = [
-            clause(universe, pos=[_at(src)], neg=[FLAT, _at(dst)]) for src in incoming
-        ]
-        rules = [
-            ConditionalEffectRule(
-                dnf(universe, [cl]),
-                (
-                    (FLAT_CHANCE, EffectPair(m([_at(dst), FLAT]), m([_at(src)]))),
-                    (1 - FLAT_CHANCE, EffectPair(m([_at(dst)]), m([_at(src)]))),
-                ),
-            )
-            for cl, src in zip(acting_clauses, incoming)
-        ]
-        rules.append(
-            ConditionalEffectRule(dnf(universe, acting_clauses, negated=True), ((1.0, EffectPair(0, 0)),))
-        )
-        name = capability_name(intent, universe)
-        caps[name] = Capability(name, intent, tuple(rules))
-
-    pick_intent = make_intent(CARRYING, universe)
-    pick_clauses = [
-        clause(universe, pos=[_at(l), _spare(l)], neg=[CARRYING]) for l in SPARE_LOCATIONS
-    ]
-    pick_rules = [
-        ConditionalEffectRule(
-            dnf(universe, [cl]), ((1.0, EffectPair(m([CARRYING]), m([_spare(l)]))),)
-        )
-        for cl, l in zip(pick_clauses, SPARE_LOCATIONS)
-    ]
-    pick_rules.append(
-        ConditionalEffectRule(dnf(universe, pick_clauses, negated=True), ((1.0, EffectPair(0, 0)),))
-    )
-    name = capability_name(pick_intent, universe)
-    caps[name] = Capability(name, pick_intent, tuple(pick_rules))
-
-    fix_intent = make_intent(f"!{FLAT}", universe)
-    fix_clause = [clause(universe, pos=[FLAT, CARRYING])]
-    name = capability_name(fix_intent, universe)
-    caps[name] = Capability(
-        name,
-        fix_intent,
-        (
-            ConditionalEffectRule(
-                dnf(universe, fix_clause), ((1.0, EffectPair(0, m([FLAT, CARRYING]))),)
-            ),
-            ConditionalEffectRule(
-                dnf(universe, fix_clause, negated=True), ((1.0, EffectPair(0, 0)),)
-            ),
-        ),
-    )
-
-    ground_truth = CapabilityModel(universe, caps, "ground-truth")
     return EnvironmentBundle(
-        "roads", universe, simulator, agent, make_abstraction(universe), ground_truth,
-        params={"edges": EDGES, "spares": SPARE_LOCATIONS},
+        "roads", universe, simulator, agent, universe.encode, agent.ground_truth(simulator.actions)
     )

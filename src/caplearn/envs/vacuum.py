@@ -8,18 +8,7 @@ clean while ending up on the dock (0.25), or just drain the battery (0.25).
 from __future__ import annotations
 
 from ..abstraction import build_universe
-from ..model import Capability, CapabilityModel, ConditionalEffectRule, make_intent, capability_name
-from ..dataset import EffectPair
-from .base import (
-    ActionDef,
-    ActionOutcome,
-    AtomSimulator,
-    EnvironmentBundle,
-    TableAgent,
-    clause,
-    dnf,
-    make_abstraction,
-)
+from .base import ActionDef, ActionOutcome, AtomSimulator, EnvironmentBundle, TableAgent, clause, dnf
 
 CHARGED = "charged(robot)"
 AT = "at(charger,robot)"
@@ -46,26 +35,6 @@ def _clean_action(universe, room: str) -> ActionDef:
     )
 
 
-def _clean_capability(universe, room: str) -> Capability:
-    target = f"clean({room})"
-    acting = [
-        clause(universe, pos=[HAS, CHARGED], neg=[target]),
-        clause(universe, pos=[HAS, AT], neg=[target]),
-    ]
-    m = universe.mask_of
-    rule = ConditionalEffectRule(
-        dnf(universe, acting),
-        (
-            (0.50, EffectPair(m([target]), m([CHARGED]))),
-            (0.25, EffectPair(m([target, AT]), 0)),
-            (0.25, EffectPair(0, m([CHARGED]))),
-        ),
-    )
-    noop = ConditionalEffectRule(dnf(universe, acting, negated=True), ((1.0, EffectPair(0, 0)),))
-    intent = make_intent(target, universe)
-    return Capability(capability_name(intent, universe), intent, (rule, noop))
-
-
 def vacuum_world(seed: int | str = 0) -> EnvironmentBundle:
     universe = build_universe(
         predicates={
@@ -82,7 +51,6 @@ def vacuum_world(seed: int | str = 0) -> EnvironmentBundle:
             "l2": "room",
         },
     )
-    m = universe.mask_of
 
     actions = [
         ActionDef(
@@ -129,46 +97,6 @@ def vacuum_world(seed: int | str = 0) -> EnvironmentBundle:
         },
     )
 
-    caps = {}
-
-    def declare(cap: Capability) -> None:
-        caps[cap.name] = cap
-
-    always = dnf(universe, [clause(universe)])
-    for intent_str, add, delete in [
-        (HAS, m([HAS]), 0),
-        (AT, m([AT]), 0),
-        (f"!{AT}", 0, m([AT])),
-    ]:
-        intent = make_intent(intent_str, universe)
-        declare(
-            Capability(
-                capability_name(intent, universe),
-                intent,
-                (ConditionalEffectRule(always, ((1.0, EffectPair(add, delete)),)),),
-            )
-        )
-
-    charge_intent = make_intent(CHARGED, universe)
-    uncharged = [clause(universe, neg=[CHARGED])]
-    declare(
-        Capability(
-            capability_name(charge_intent, universe),
-            charge_intent,
-            (
-                ConditionalEffectRule(
-                    dnf(universe, uncharged), ((1.0, EffectPair(m([CHARGED, AT]), 0)),)
-                ),
-                ConditionalEffectRule(
-                    dnf(universe, uncharged, negated=True), ((1.0, EffectPair(0, 0)),)
-                ),
-            ),
-        )
-    )
-    declare(_clean_capability(universe, "l1"))
-    declare(_clean_capability(universe, "l2"))
-
-    ground_truth = CapabilityModel(universe, caps, "ground-truth")
     return EnvironmentBundle(
-        "vacuum", universe, simulator, agent, make_abstraction(universe), ground_truth
+        "vacuum", universe, simulator, agent, universe.encode, agent.ground_truth(simulator.actions)
     )

@@ -1,13 +1,24 @@
+import hashlib
 from collections import Counter
 from random import Random
 
 import pytest
 
-from caplearn.abstraction import ConfigurationError
+from caplearn.abstraction import ConfigurationError, literal_string
 from caplearn.dataset import Transition
-from caplearn.envs import make_environment, road_world, stochastic_blocks, vacuum_world
+from caplearn.envs import (
+    ActionDef,
+    ActionOutcome,
+    TableAgent,
+    make_environment,
+    road_world,
+    stochastic_blocks,
+    vacuum_world,
+)
+from caplearn.envs.base import clause, dnf
 from caplearn.envs.roads import EDGES, LOCATIONS
-from caplearn.model import entails, make_intent
+from caplearn.evaluation import reachable_states
+from caplearn.model import entails, make_intent, model_to_json, predict
 
 
 def _attempt_outcomes(bundle, intent_text, start_atoms, runs, horizon=100):
@@ -189,7 +200,14 @@ class TestContracts:
         assert again == suffix
 
     @pytest.mark.parametrize(
-        "name,params", [("vacuum", {}), ("roads", {}), ("blocks", {"n_blocks": 3})]
+        "name,params",
+        [
+            ("vacuum", {}),
+            ("roads", {}),
+            ("blocks", {"n_blocks": 3}),
+            ("blocks", {"n_blocks": 4}),
+            ("blocks", {"n_blocks": 5}),
+        ],
     )
     def test_ground_truth_consistency(self, name, params):
         """10,000 sampled agent transitions per pair all entailed by its truth."""
@@ -197,9 +215,6 @@ class TestContracts:
         truth = b.ground_truth
         caps = truth.capability_names()
         rng = Random("consistency-drive")
-
-        from caplearn.evaluation import reachable_states
-
         start = b.abstraction(b.simulator.reset())
         reach = sorted(reachable_states(truth, start), key=lambda s: s.bits)
         decoded = {s: frozenset(b.universe.atom_names(s)) for s in reach}
@@ -216,3 +231,118 @@ class TestContracts:
     def test_unknown_environment_rejected(self):
         with pytest.raises(ConfigurationError):
             make_environment("minigrid")
+
+
+# sha256 over `repr((s.bits, c, sorted((s2.bits, p), ...)))` for every state
+# (vacuum, roads) or every state reachable from reset (blocks) and every
+# capability in name order, and of each truth's `model_to_json`. Recorded from
+# the hand-written truths the derived ones replaced; vacuum's JSON is not
+# pinned because its `has`, `at` and `!at` rules changed shape (not meaning).
+TRUTH_DIGESTS = {
+    "vacuum": (
+        "vacuum", {}, 192,
+        "80f5338af8b83a55fe265959e5074ec628a71531b6b35f742647d68c72283f0a",
+        None,
+    ),
+    "roads": (
+        "roads", {}, 114_688,
+        "0d8400d0e13218359f31899429f4d1ef11229d6b5d137bb702272b80a8b3c928",
+        "9ecd7e897d79354e2511e129a7b598d8e541780bc6b8dfd5a5965d09030bca49",
+    ),
+    "blocks-3-0.25": (
+        "blocks", {"n_blocks": 3, "slip": 0.25}, 264,
+        "d59c9a708a59e31a66f6cad5e7b59f260481ea386c9378b5cb568e4fbc624876",
+        "f2339932e0089c1f205c2da995043c9f23d0deba0ec0b607121ab394809a0924",
+    ),
+    "blocks-4-0.0": (
+        "blocks", {"n_blocks": 4, "slip": 0.0}, 2_500,
+        "5b64bd4ba6f256187da5c4f4da82c7697e2be290d38f36a94875695d1566498f",
+        "5e81c39b20773f8e533063118b353224aa53be56de0d3108ca46e79331ff3172",
+    ),
+    "blocks-5-0.5": (
+        "blocks", {"n_blocks": 5, "slip": 0.5}, 25_980,
+        "0afbdebe90b7b638387c354e0f059181ac7a6c5ce8988710a15627cd2d15f708",
+        "5857584417732b190e67f05f15608b05980978e661e88e1f549235d34b37dc6a",
+    ),
+}
+
+
+def _attempt_distribution(bundle, agent, intent, atoms):
+    """What `agent.attempt` does from `atoms`, as an exact successor distribution."""
+    u = bundle.universe
+    s = u.encode(atoms)
+    if not intent.satisfied_by(s.bits):
+        for name in agent.table.get(literal_string(intent, u), ()):
+            if bundle.simulator.applicable(name, atoms):
+                dist = {}
+                for o in bundle.simulator.actions[name].outcomes:
+                    s2 = u.encode(atoms - o.delete | o.add)
+                    dist[s2] = dist.get(s2, 0.0) + o.prob
+                return dist
+    return {s: 1.0}
+
+
+class TestDerivedGroundTruth:
+    @pytest.mark.parametrize("variant", sorted(TRUTH_DIGESTS))
+    def test_truth_semantics_pinned(self, variant):
+        name, params, pairs, predict_digest, json_digest = TRUTH_DIGESTS[variant]
+        b = make_environment(name, seed=0, **params)
+        truth = b.ground_truth
+        if name == "blocks":
+            start = b.abstraction(b.simulator.reset())
+            states = sorted(reachable_states(truth, start), key=lambda s: s.bits)
+        else:
+            states = list(b.universe.all_states())
+        h = hashlib.sha256()
+        n = 0
+        for s in states:
+            for c in truth.capability_names():
+                dist = predict(truth, s, c)
+                h.update(repr((s.bits, c, sorted((s2.bits, p) for s2, p in dist.items()))).encode())
+                n += 1
+        assert (n, h.hexdigest()) == (pairs, predict_digest)
+        if json_digest is not None:
+            assert hashlib.sha256(model_to_json(truth).encode()).hexdigest() == json_digest
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            None,
+            # Overlapping candidates: the first applicable one must win.
+            {"charged(robot)": ("dock", "dock_and_charge"), "clean(l1)": ("clean_l2", "clean_l1")},
+            # A negative intent, and a candidate that does not serve its intent.
+            {"!charged(robot)": ("undock", "drain"), "!clean(l1)": ("grab",)},
+            {"has(robot,vacuum)": ()},
+        ],
+    )
+    def test_truth_matches_attempt_on_every_state(self, table):
+        b = vacuum_world(seed=0)
+        agent = b.agent if table is None else TableAgent(b.universe, table)
+        truth = agent.ground_truth(b.simulator.actions)
+        assert len(truth.capabilities) == len(agent.table)
+        for s in b.universe.all_states():
+            atoms = frozenset(b.universe.atom_names(s))
+            for cap in truth.capabilities.values():
+                expected = _attempt_distribution(b, agent, cap.intent, atoms)
+                assert predict(truth, s, cap.name) == expected, (atoms, cap.name)
+
+    @pytest.mark.parametrize(
+        "key", ["clean(l1) & clean(l2)", "!charged(robot) & clean(l1)", "true", " clean(l1)"]
+    )
+    def test_table_key_must_be_one_literal(self, key):
+        b = vacuum_world(seed=0)
+        agent = TableAgent(b.universe, {key: ("clean_l1",)})
+        with pytest.raises(ConfigurationError, match="not one literal"):
+            agent.ground_truth(b.simulator.actions)
+
+    def test_negated_precondition_rejected(self):
+        b = vacuum_world(seed=0)
+        u = b.universe
+        grab = ActionDef(
+            "grab",
+            dnf(u, [clause(u, pos=["has(robot,vacuum)"])], negated=True),
+            (ActionOutcome(1.0, frozenset({"has(robot,vacuum)"}), frozenset()),),
+        )
+        agent = TableAgent(u, {"has(robot,vacuum)": ("grab",)})
+        with pytest.raises(ConfigurationError, match="negated precondition"):
+            agent.ground_truth({"grab": grab})
