@@ -152,8 +152,9 @@ class AtomUniverse:
     tuple, so rebuilding from the same definition always yields identical
     bit positions. Canonical atom names map to bits by dict lookup; other
     spellings, such as ``clean( l1 )``, are parsed. `encode` memoizes the
-    successful encodes of frozensets (environment states). The memo holds a
-    pure function, so instances stay immutable from outside and safe to share.
+    successful encodes of frozensets (environment states), and `names_of` the
+    names of each mask. The memos hold pure functions, so instances stay
+    immutable from outside and safe to share.
     """
 
     def __init__(
@@ -195,6 +196,7 @@ class AtomUniverse:
         self._names: tuple[str, ...] = tuple(str(a) for a in atoms)
         self._index_of_name: dict[str, int] = {n: i for i, n in enumerate(self._names)}
         self._encoded: dict[frozenset, AbstractState] = {}
+        self._named: dict[int, tuple[str, ...]] = {}
 
     def atom_index(self, atom: GroundAtom | str) -> int:
         if isinstance(atom, str):
@@ -226,8 +228,13 @@ class AtomUniverse:
         return self.names_of(state.bits)
 
     def names_of(self, mask: int) -> list[str]:
-        """Names of the atoms whose bits are set in `mask`, in atom order."""
-        return [name for i, name in enumerate(self._names) if mask >> i & 1]
+        """Names of the atoms whose bits are set in `mask`, in atom order (a fresh list)."""
+        got = self._named.get(mask)
+        if got is None:
+            got = self._named[mask] = tuple(
+                name for i, name in enumerate(self._names) if mask >> i & 1
+            )
+        return list(got)
 
     def mask_of(self, atoms: Iterable[GroundAtom | str]) -> int:
         bits = 0

@@ -147,9 +147,11 @@ class TableAgent:
         An intent that already holds leaves the state unchanged; otherwise the
         first applicable candidate runs. So each candidate, in priority order,
         gives one rule: its precondition clauses, each conjoined with the
-        denied intent literal, with its outcomes as effects. A final rule
-        leaves every state no candidate accepts unchanged. This holds only
-        for single-literal intents over unnegated preconditions.
+        denied intent literal, with its outcomes as effects; outcomes with the
+        same edit are one effect of summed probability, as the simulator
+        treats them. A final rule leaves every state no candidate accepts
+        unchanged. This holds only for single-literal intents over unnegated
+        preconditions.
         """
         u = self.universe
         caps: dict[str, Capability] = {}
@@ -170,10 +172,13 @@ class TableAgent:
                     for cl in action.precondition.clauses
                 )
                 acting.extend(clauses)
-                effects = tuple(
-                    (o.prob, EffectPair(u.mask_of(o.add), u.mask_of(o.delete))) for o in action.outcomes
-                )
-                rules.append(ConditionalEffectRule(Condition(clauses, u.num_atoms), effects))
+                effects: dict[EffectPair, float] = {}
+                for o in action.outcomes:
+                    eff = EffectPair(u.mask_of(o.add), u.mask_of(o.delete))
+                    effects[eff] = effects.get(eff, 0.0) + o.prob
+                rules.append(ConditionalEffectRule(
+                    Condition(clauses, u.num_atoms), tuple((p, eff) for eff, p in effects.items())
+                ))
             noop = Condition(tuple(acting), u.num_atoms, negated=True)
             rules.append(ConditionalEffectRule(noop, ((1.0, EffectPair(0, 0)),)))
             name = capability_name(intent, u)

@@ -39,6 +39,8 @@ from .synthesis import (
 )
 
 VARIANTS = ("exact", "sampled", "random")
+# The parts of one query, in order, as timed in `QueryRecord.phases`.
+PHASES = ("synthesize", "execute", "record", "refit", "snapshot")
 
 
 @dataclass
@@ -86,6 +88,15 @@ class LearnerConfig:
 
 @dataclass
 class QueryRecord:
+    """One query of a run, as written to `runlog.jsonl`.
+
+    `source` says where the executed policy came from: `synthesized` (the
+    search scored above 0), `fallback` (it did not, so a random sequence ran)
+    or `random` (the random variant). `phases` maps each name in `PHASES` to
+    the seconds the query spent in it; `snapshot` covers writing the
+    snapshot and `last_query.json`.
+    """
+
     index: int
     policy: dict
     initial_state: list[str]
@@ -97,6 +108,8 @@ class QueryRecord:
     elapsed: float
     snapshot: str | None
     failures: int = 0
+    source: str = ""
+    phases: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -371,7 +384,9 @@ def run(
         t0 = time.monotonic()
         s0 = abstraction(x_i[0])
         score: float | None = None
+        marks = [time.perf_counter()]  # one more at the end of each phase
         if config.variant == "random":
+            source = "random"
             query = random_policy_query(
                 x_i[0], list(capabilities), config.random_policy_length,
                 config.runs_per_query, policy_rng,
@@ -383,17 +398,21 @@ def run(
             )
             score = result.score
             if result.score > 0.0 and result.policy.mapping:
+                source = "synthesized"
                 query = Query(x_i[0], result.policy, config.runs_per_query)
             else:
+                source = "fallback"
                 query = random_policy_query(
                     x_i[0], list(capabilities), config.random_policy_length,
                     config.runs_per_query, policy_rng,
                 )
+        marks.append(time.perf_counter())
 
         results = execute_query(
             bundle.agent, simulator, query, capabilities, abstraction,
             config.theta, config.horizon, config.depth,
         )
+        marks.append(time.perf_counter())
 
         novel = 0
         executions = 0
@@ -413,17 +432,25 @@ def run(
             if name not in capabilities:
                 capabilities[name] = cap
                 novel += 1
+        marks.append(time.perf_counter())
 
         m_pess, m_opt = build_models(capabilities.values(), dataset, universe)
         novel_history.append(novel)
+        marks.append(time.perf_counter())
 
+        policy_json = policy_to_json(query.policy, universe)
         snapshot_name = None
         if snap_dir is not None:
             snapshot_name = f"query_{query_idx:04d}.json"
             (snap_dir / snapshot_name).write_text(model_to_json(m_pess, indent=None))
+        if out_path is not None:
+            (out_path / "last_query.json").write_text(
+                json.dumps(policy_json, indent=2, sort_keys=True) + "\n"
+            )
+        marks.append(time.perf_counter())
         record = QueryRecord(
             index=query_idx,
-            policy=policy_to_json(query.policy, universe),
+            policy=policy_json,
             initial_state=universe.atom_names(s0),
             novel=novel,
             unique_transitions=len(dataset),
@@ -433,12 +460,10 @@ def run(
             elapsed=time.monotonic() - t0,
             snapshot=snapshot_name,
             failures=failures,
+            source=source,
+            phases={name: b - a for name, a, b in zip(PHASES, marks, marks[1:])},
         )
         log.records.append(record)
-        if out_path is not None:
-            (out_path / "last_query.json").write_text(
-                json.dumps(policy_to_json(query.policy, universe), indent=2, sort_keys=True) + "\n"
-            )
         if config.progress:
             print(
                 f"query {query_idx:4d}  novel={novel:3d}  |D|={len(dataset):5d}  "

@@ -210,36 +210,45 @@ def synthesize_exact(
 class _StateTable:
     """Per-call facts about one abstract state: applicable capabilities and steps.
 
-    `steps[i]` is filled on the first step taken with `caps[i]` and holds three
-    lists in successor bit order: cumulative half/half mixture weights, the
-    successors' bits (keys of the call's tables, so tables form no reference
-    cycles and are freed when the call returns), and each successor's
-    symmetric-difference reward.
+    `steps[i]`, built on the first step taken with `caps[i]`, holds in
+    successor bit order the cumulative mixture weights, the last raised to
+    infinity so that `bisect_right(cum, u)` is the successor
+    `distributions.draw` picks for `u`, and `(successor table, reward)`
+    pairs. The owning call clears `steps` on return, which breaks the cycles
+    between tables. A rollout draws `getrandbits(bits_k)` until the value is
+    below `len(caps)`, which is how `randrange(len(caps))` consumes the RNG
+    on CPython 3.10 to 3.12.
     """
 
-    __slots__ = ("state", "caps", "steps")
+    __slots__ = ("state", "caps", "bits_k", "steps")
 
     def __init__(self, state: AbstractState, caps: list[str]) -> None:
         self.state = state
         self.caps = caps
-        self.steps: list[tuple[list[float], list[int], list[float]] | None] = [None] * len(caps)
+        self.bits_k = len(caps).bit_length()
+        self.steps: list[_Step | None] | None = [None] * len(caps)
+
+
+_Step = tuple[list[float], list[tuple[_StateTable, float]]]
 
 
 class _SampleNode:
-    """Tree position; edge statistics are lists indexed like `table.caps`."""
+    """Tree position over one state table; edge lists exist once it is expanded.
 
-    __slots__ = ("table", "reward", "children", "n", "n_edge", "w_edge", "q", "value")
+    `value` is the reward (plus the rollout return, for a fresh node) until
+    the node's first backup, and `max(q)` from then on. `n_edge`, `w_edge`,
+    `q` and `children` are indexed like `table.caps` and allocated when the
+    node is first expanded (`n == 0`); most nodes stay leaves.
+    `children[i]` is indexed like the successors of `table.steps[i]`.
+    """
+
+    __slots__ = ("table", "reward", "value", "n", "n_edge", "w_edge", "q", "children")
 
     def __init__(self, table: _StateTable, reward: float) -> None:
-        k = len(table.caps)
         self.table = table
         self.reward = reward
-        self.children: list[dict[int, _SampleNode] | None] = [None] * k
-        self.n = 0
-        self.n_edge = [0] * k
-        self.w_edge = [0.0] * k
-        self.q = [-math.inf] * k  # unvisited edges never win max(q)
         self.value = reward
+        self.n = 0
 
 
 def synthesize_sampled(
@@ -258,16 +267,24 @@ def synthesize_sampled(
     model are applicable. Successors are sampled from the half/half mixture of
     the two models' predictions; reaching a state in the symmetric difference
     of the two one-step supports earns reward 1. Q values back up from the
-    single observed successor, undiscounted.
+    single observed successor, undiscounted. Selection takes the first
+    unvisited edge, else the first maximum of `q + kappa * sqrt(log N / n)`.
 
-    Within one call every state seen gets one table keyed by `state.bits`: its
-    applicable capabilities, computed once, and per capability a step entry
-    built on first use from one `predict` per model (cumulative mixture
-    weights in bit order, successor bits, rewards). A step draws
-    `bisect_right(cum, rng.random())`, the successor `distributions.draw`
-    picks, so the RNG stream (one uniform per sampled step, one `choice`
-    over the applicable capabilities per rollout step) and the result are
-    those of a search that looks everything up per step.
+    Within one call every state seen gets one `_StateTable`: its applicable
+    capabilities, computed once, and per capability a step entry built on
+    first use from one `predict` per model. The RNG stream is one
+    `rng.random()` per sampled step (also with a single successor) and, per
+    rollout step, the draws of `rng.randrange` over the applicable
+    capabilities, so result and stream are those of a search that draws
+    through `distributions.draw` and `rng.choice` at every step.
+
+    `value` is kept incrementally; `max(q)` is recomputed only when the edge
+    that held it falls. Rewards are 0 or 1, so every Q is >= 0, and at a
+    node whose value is 0.0 every Q is 0.0. Its UCT scores are then
+    `kappa * sqrt(log N / n)`, which never grows with n, so the first
+    least-visited edge is the first maximum whenever its score is strictly
+    above the score at one more visit. Otherwise (kappa 0, or both round to
+    the same float) the full score list is built.
     """
     all_caps = sorted(set(m_pess.capabilities) | set(m_opt.capabilities))
     if not all_caps or iterations <= 0:
@@ -287,49 +304,27 @@ def synthesize_sampled(
             table = tables[state.bits] = _StateTable(state, applicable)
         return table
 
-    def sample_step(table: _StateTable, i: int) -> tuple[_StateTable, float]:
-        step = table.steps[i]
-        if step is None:
-            state, cap = table.state, table.caps[i]
-            p1 = predict(m_pess, state, cap)
-            p2 = predict(m_opt, state, cap)
-            mix: dict[AbstractState, float] = {}
-            for s2, p in p1.items():
-                mix[s2] = mix.get(s2, 0.0) + 0.5 * p
-            for s2, p in p2.items():
-                mix[s2] = mix.get(s2, 0.0) + 0.5 * p
-            ordered = sorted(mix.items(), key=lambda kv: kv[0].bits)
-            cum: list[float] = []
-            acc = 0.0
-            for s2, w in ordered:
-                table_of(s2)
-                acc += w
-                cum.append(acc)
-            step = table.steps[i] = (
-                cum,
-                [s2.bits for s2, _ in ordered],
-                [1.0 if (s2 in p1) != (s2 in p2) else 0.0 for s2, _ in ordered],
-            )
-        cum, succ, reward = step
-        j = bisect_right(cum, rng.random())
-        if j == len(cum):
-            j -= 1
-        return tables[succ[j]], reward[j]
+    def make_step(table: _StateTable, i: int) -> _Step:
+        state, cap = table.state, table.caps[i]
+        p1 = predict(m_pess, state, cap)
+        p2 = predict(m_opt, state, cap)
+        mix: dict[AbstractState, float] = {}
+        for s2, p in p1.items():
+            mix[s2] = mix.get(s2, 0.0) + 0.5 * p
+        for s2, p in p2.items():
+            mix[s2] = mix.get(s2, 0.0) + 0.5 * p
+        ordered = sorted(mix.items(), key=lambda kv: kv[0].bits)
+        cum: list[float] = []
+        acc = 0.0
+        for _, w in ordered:
+            acc += w
+            cum.append(acc)
+        cum[-1] = math.inf
+        outs = [(table_of(s2), 1.0 if (s2 in p1) != (s2 in p2) else 0.0) for s2, _ in ordered]
+        step = table.steps[i] = (cum, outs)
+        return step
 
-    def rollout_return(table: _StateTable, used_depth: int) -> float:
-        total = 0.0
-        for _ in range(rollouts):
-            ret = 0.0
-            cur = table
-            for _ in range(depth - used_depth):
-                if not cur.caps:
-                    break
-                # randrange(k) consumes the RNG exactly as rng.choice(cur.caps).
-                cur, r = sample_step(cur, rng.randrange(len(cur.caps)))
-                ret += r
-            total += ret
-        return total / rollouts
-
+    random, getrandbits, sqrt = rng.random, rng.getrandbits, math.sqrt
     root = _SampleNode(table_of(s0), 0.0)
     all_nodes: list[_SampleNode] = [root]
 
@@ -338,36 +333,71 @@ def synthesize_sampled(
         path: list[tuple[_SampleNode, int, _SampleNode]] = []
         fresh = None
         while len(path) < depth:
-            if not node.table.caps:
+            table = node.table
+            k = len(table.caps)
+            if not k:
                 break
-            n_edge = node.n_edge
-            if 0 in n_edge:
-                i = n_edge.index(0)
+            if not node.n:
+                node.n_edge = [0] * k
+                node.w_edge = [0.0] * k
+                node.q = [-math.inf] * k  # unvisited edges never win max(q)
+                node.children = [None] * k
+                i = 0
             else:
-                log_n = math.log(node.n)
-                scores = [q + kappa * math.sqrt(log_n / n) for q, n in zip(node.q, n_edge)]
-                i = scores.index(max(scores))
-            succ, r = sample_step(node.table, i)
+                n_edge = node.n_edge
+                least = min(n_edge)
+                i = n_edge.index(least)
+                if least:
+                    log_n = math.log(node.n)
+                    if node.value != 0.0 or not (
+                        kappa * sqrt(log_n / least) > kappa * sqrt(log_n / (least + 1))
+                    ):
+                        scores = [q + kappa * sqrt(log_n / n) for q, n in zip(node.q, n_edge)]
+                        i = scores.index(max(scores))
+            cum, outs = table.steps[i] or make_step(table, i)
+            j = bisect_right(cum, random())
             kids = node.children[i]
             if kids is None:
-                kids = node.children[i] = {}
-            child = kids.get(succ.state.bits)
+                kids = node.children[i] = [None] * len(outs)
+            child = kids[j]
             if child is None:
-                child = kids[succ.state.bits] = _SampleNode(succ, r)
+                child = kids[j] = fresh = _SampleNode(*outs[j])
                 all_nodes.append(child)
-                path.append((node, i, child))
-                fresh = child
-                break
             path.append((node, i, child))
+            if fresh is not None:
+                break
             node = child
         if fresh is not None:
-            fresh.value = fresh.reward + rollout_return(fresh.table, len(path))
+            total = 0.0
+            for _ in range(rollouts):
+                ret = 0.0
+                table = fresh.table
+                for _ in range(depth - len(path)):
+                    k = len(table.caps)
+                    if not k:
+                        break
+                    c = getrandbits(table.bits_k)
+                    while c >= k:
+                        c = getrandbits(table.bits_k)
+                    cum, outs = table.steps[c] or make_step(table, c)
+                    table, r = outs[bisect_right(cum, random())]
+                    ret += r
+                total += ret
+            fresh.value = fresh.reward + total / rollouts
         for parent, i, child in reversed(path):
             parent.n += 1
             n = parent.n_edge[i] = parent.n_edge[i] + 1
             w = parent.w_edge[i] = parent.w_edge[i] + child.value
-            parent.q[i] = parent.reward + w / n
-            parent.value = max(parent.q)
+            q = parent.q
+            old = q[i]
+            new = q[i] = parent.reward + w / n
+            if new >= parent.value or parent.n == 1:
+                parent.value = new
+            elif old == parent.value:
+                parent.value = max(q)
+
+    for table in tables.values():
+        table.steps = None
 
     score = root.value if root.n else 0.0
     # Q(s, c) is state-indexed; pool edge statistics across tree positions

@@ -112,6 +112,15 @@ class TestEncodeMemo:
         assert first == second == u.encode(list(state))
         assert u.names_of(first.bits) == ["charged(robot)", "clean(l2)"]
 
+    def test_names_of_returns_a_fresh_list_each_call(self, vacuum_universe):
+        u = vacuum_universe
+        mask = u.mask_of(["clean(l1)", "charged(robot)"])
+        first = u.names_of(mask)
+        first.append("mutated")
+        assert u.names_of(mask) == ["charged(robot)", "clean(l1)"]
+        assert u.names_of(mask) is not u.names_of(mask)
+        assert u.names_of(0) == []
+
     def test_unknown_atom_raises_every_time(self, two_atom_universe):
         state = frozenset({"clean(l1)", "clean(l9)"})
         for _ in range(2):

@@ -9,6 +9,7 @@ from caplearn.dataset import Transition
 from caplearn.envs import (
     ActionDef,
     ActionOutcome,
+    AtomSimulator,
     TableAgent,
     make_environment,
     road_world,
@@ -18,7 +19,7 @@ from caplearn.envs import (
 from caplearn.envs.base import clause, dnf
 from caplearn.envs.roads import EDGES, LOCATIONS
 from caplearn.evaluation import reachable_states
-from caplearn.model import entails, make_intent, model_to_json, predict
+from caplearn.model import capability_name, entails, make_intent, model_to_json, predict
 
 
 def _attempt_outcomes(bundle, intent_text, start_atoms, runs, horizon=100):
@@ -346,3 +347,27 @@ class TestDerivedGroundTruth:
         agent = TableAgent(u, {"has(robot,vacuum)": ("grab",)})
         with pytest.raises(ConfigurationError, match="negated precondition"):
             agent.ground_truth({"grab": grab})
+
+    def test_outcomes_sharing_an_edit_merge(self):
+        """Two 0.5 outcomes with one edit derive one effect of probability 1.0."""
+        b = vacuum_world(seed=0)
+        u = b.universe
+        has = "has(robot,vacuum)"
+        edit = (frozenset({has}), frozenset())
+        grab = ActionDef(
+            "grab",
+            dnf(u, [clause(u, neg=[has])]),
+            (ActionOutcome(0.5, *edit), ActionOutcome(0.5, *edit)),
+        )
+        actions = dict(b.simulator.actions, grab=grab)
+        sim = AtomSimulator(u, b.simulator.reset(), tuple(actions.values()), seed=0)
+        truth = b.agent.ground_truth(sim.actions)
+        cap_has = capability_name(make_intent(has, u), u)
+        for s in u.all_states():
+            atoms = frozenset(u.atom_names(s))
+            if has not in atoms:
+                assert predict(truth, s, cap_has) == {u.encode(atoms | {has}): 1.0}
+            for cap in truth.capabilities.values():
+                sim.revert(atoms)
+                traj = b.agent.attempt(cap.intent, sim, atoms, 100)
+                assert entails(truth, Transition(s, cap.name, u.encode(traj[-1]))), (atoms, cap.name)

@@ -1,6 +1,7 @@
 import json
 import math
 from collections import Counter
+from dataclasses import asdict
 from random import Random
 
 import pytest
@@ -9,6 +10,7 @@ from caplearn.abstraction import ConfigurationError, LiteralConjunction, build_u
 from caplearn.dataset import TransitionDataset, Transition
 from caplearn.envs import vacuum_world
 from caplearn.learner import (
+    PHASES,
     LearnerConfig,
     discover_capabilities,
     execute_query,
@@ -344,6 +346,25 @@ class TestRun:
         assert last.endswith("}\n") and "\n" not in last[:-1]
         assert model_to_json(load_model(tmp_path / "snapshots" / "query_0002.json")) == final
         assert final.startswith("{\n  ")
+
+    @pytest.mark.parametrize("variant", ["exact", "sampled", "random"])
+    def test_runlog_records_source_and_phases(self, tmp_path, variant):
+        b = vacuum_world(seed="5/env")
+        _, log = run(self._config(variant=variant), b, out_dir=tmp_path)
+        lines = (tmp_path / "runlog.jsonl").read_text().splitlines()[:-1]
+        records = [json.loads(line) for line in lines]
+        assert records == [json.loads(json.dumps(asdict(r))) for r in log.records]
+        for rec in records:
+            assert sorted(rec["phases"]) == sorted(PHASES)
+            assert all(t >= 0.0 for t in rec["phases"].values())
+            if variant == "random":
+                assert (rec["source"], rec["score"]) == ("random", None)
+            else:
+                assert rec["source"] == ("synthesized" if rec["score"] > 0.0 else "fallback")
+            kind = "state" if rec["source"] == "synthesized" else "sequence"
+            assert rec["policy"]["kind"] == kind
+        if variant != "random":
+            assert {r["source"] for r in records} == {"synthesized", "fallback"}
 
     def test_empty_agent_trajectory_counts_as_failure(self):
         b = vacuum_world(seed="5/env")

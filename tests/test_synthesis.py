@@ -1,3 +1,4 @@
+import gc
 import math
 from random import Random
 
@@ -423,6 +424,45 @@ def _assert_same_as_reference(s0, m_pess, m_opt, iterations, kappa, depth, seed,
     return got
 
 
+def _always_applicable_models(k, num_atoms=5):
+    """k capabilities that fire in every state; the models disagree on every one."""
+    u = small_universe(num_atoms)
+    always = Condition.always(u.num_atoms)
+    intent = LiteralConjunction(1, 0)
+    pess, opt = {}, {}
+    for i in range(k):
+        name = f"c{i:02d}"
+        bit = [1 << (i + d) % num_atoms for d in range(3)]
+        move = EffectPair(bit[0], bit[1])
+        pess[name] = Capability(name, intent, (ConditionalEffectRule(always, ((1.0, move),)),))
+        opt[name] = Capability(name, intent, (
+            ConditionalEffectRule(always, ((0.5, move), (0.5, EffectPair(bit[2], 0)))),
+        ))
+    return u, u.encode([]), CapabilityModel(u, pess, "pessimistic"), CapabilityModel(u, opt, "optimistic")
+
+
+def _falling_best_edge_models():
+    """Two noisy capabilities whose running means keep overtaking each other.
+
+    From the empty state, `a` earns reward 1 with probability 0.5 and `b`
+    with probability 0.2, so the edge holding a node's best Q often falls.
+    """
+    u = small_universe(5)
+    always = Condition.always(u.num_atoms)
+    intent = LiteralConjunction(1, 0)
+    p = [EffectPair(1 << i, 0) for i in range(5)]
+
+    def model(a_effects, b_effects, flavor):
+        return CapabilityModel(u, {
+            "a": Capability("a", intent, (ConditionalEffectRule(always, a_effects),)),
+            "b": Capability("b", intent, (ConditionalEffectRule(always, b_effects),)),
+        }, flavor)
+
+    m_pess = model(((0.5, p[0]), (0.5, p[1])), ((1.0, p[3]),), "pessimistic")
+    m_opt = model(((0.5, p[0]), (0.5, p[2])), ((0.6, p[3]), (0.4, p[4])), "optimistic")
+    return u, u.encode([]), m_pess, m_opt
+
+
 class TestSynthesizeSampledReference:
     @pytest.mark.parametrize("depth", [1, 2, 6])
     @pytest.mark.parametrize("rollouts", [1, 2])
@@ -465,6 +505,45 @@ class TestSynthesizeSampledReference:
         )
         got = _assert_same_as_reference(s0, m_pess, m_opt, 100, 1.0, 3, 0, 2)
         assert got == SynthesisResult(StatePolicy(()), 0.0)
+
+    @pytest.mark.parametrize("env", ["vacuum", "roads", "blocks"])
+    @pytest.mark.parametrize("kappa", [0.0, 5e-324, 1e-300, 0.3, math.sqrt(2), 1e6])
+    def test_kappa_range(self, learned_pairs, env, kappa):
+        # kappa 0 and the subnormal kappa make the exploration terms of
+        # neighbouring visit counts round to the same float.
+        starts, pairs = learned_pairs(env, 0)
+        for m_pess, m_opt in pairs:
+            for k, s0 in enumerate(starts):
+                _assert_same_as_reference(s0, m_pess, m_opt, 400, kappa, 6, f"{kappa}/{k}", 1)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 17, 33])
+    def test_rollout_capability_draws(self, k):
+        # k = 1, 3, 17 and 33 make the rollout's draw reject values >= k.
+        u, s0, m1, m2 = _always_applicable_models(k)
+        for depth, rollouts in ((6, 1), (12, 2)):
+            got = _assert_same_as_reference(s0, m1, m2, 300, math.sqrt(2), depth, f"k{k}", rollouts)
+            assert got.score > 0.0
+
+    @pytest.mark.parametrize("depth", [1, 3])
+    @pytest.mark.parametrize("kappa", [0.0, 0.3, math.sqrt(2)])
+    def test_best_edge_mean_falls(self, depth, kappa):
+        u, s0, m1, m2 = _falling_best_edge_models()
+        for seed in range(3):
+            got = _assert_same_as_reference(s0, m1, m2, 200, kappa, depth, seed, 1)
+            assert got.score > 0.0
+
+    def test_call_leaves_no_reference_cycles(self, learned_pairs):
+        # Garbage in cycles waits for the collector and raises peak memory.
+        starts, pairs = learned_pairs("roads", 0)
+        m_pess, m_opt = pairs[-1]
+        gc.collect()
+        gc.disable()
+        try:
+            for s0 in starts:
+                synthesize_sampled(s0, m_pess, m_opt, 300, math.sqrt(2), 6, Random(3), rollouts=2)
+                assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("env", ["roads", "blocks"])
     def test_predict_once_per_model_state_and_capability(self, learned_pairs, env, monkeypatch):
