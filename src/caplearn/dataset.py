@@ -52,12 +52,21 @@ def effects_of(transition: Transition) -> EffectPair:
 
 
 class TransitionDataset:
-    """Multiset of (s, c, s') triples indexed by capability, then source state."""
+    """Multiset of (s, c, s') triples indexed by capability, then source state.
+
+    `revision(c)` grows whenever an `add` can change the rules `build_models`
+    fits for capability `c`: when the triple is novel, or when its source
+    state already has two or more successors under `c`. Rules depend on the
+    partition of `c`'s source states by effect set and, through the MLE
+    effect probabilities, on counts; a source state with one successor has a
+    single effect, which gets probability 1.0 whatever its count.
+    """
 
     def __init__(self) -> None:
         self.counts: dict[Transition, int] = {}
         self._by_cap_state: dict[str, dict[AbstractState, set[Transition]]] = {}
         self._state_counts: dict[AbstractState, int] = {}
+        self._revisions: dict[str, int] = {}
 
     def __len__(self) -> int:
         return len(self.counts)
@@ -69,14 +78,16 @@ class TransitionDataset:
         """Insert `count` occurrences; returns True iff the triple was unseen."""
         if count < 1:
             raise ValueError("count must be positive")
+        s, c, _ = transition
         seen = self.counts.get(transition, 0)
         self.counts[transition] = seen + count
-        novel = seen == 0
-        if novel:
-            by_state = self._by_cap_state.setdefault(transition.c, {})
-            by_state.setdefault(transition.s, set()).add(transition)
-        self._state_counts[transition.s] = self._state_counts.get(transition.s, 0) + count
-        return novel
+        if not seen:
+            self._by_cap_state.setdefault(c, {}).setdefault(s, set()).add(transition)
+            self._revisions[c] = self._revisions.get(c, 0) + 1
+        elif len(self._by_cap_state[c][s]) > 1:
+            self._revisions[c] += 1
+        self._state_counts[s] = self._state_counts.get(s, 0) + count
+        return not seen
 
     def record(
         self, states: Sequence[AbstractState], capability: str
@@ -97,6 +108,14 @@ class TransitionDataset:
     def state_visit_count(self, state: AbstractState) -> int:
         """Total recorded transitions that start in `state`, across capabilities."""
         return self._state_counts.get(state, 0)
+
+    def observed_state_count(self) -> int:
+        """Distinct source states of recorded transitions, across capabilities."""
+        return len(self._state_counts)
+
+    def revision(self, capability: str) -> int:
+        """A counter that changes with every `add` that may change `capability`'s rules."""
+        return self._revisions.get(capability, 0)
 
     # -- JSON-lines persistence ------------------------------------------
 

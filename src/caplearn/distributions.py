@@ -62,7 +62,7 @@ def push_distribution(
 ) -> StateDistribution:
     """One-step image of `dist` under one capability of `model`.
 
-    Each state's successors come from the model's memoized `predict` (a state
+    Each state's successors come from the memoized `predict` (a state
     no condition accepts keeps its mass); successors reached from several
     states are merged in log space.
     """

@@ -3,7 +3,8 @@
 Each iteration synthesizes a distinguishing policy from the current
 pessimistic/optimistic model pair (or samples a random one), executes it
 against the black-box agent, folds the observed transitions into the dataset,
-rediscovers capabilities, rebuilds the model pair, and picks the next query's
+rediscovers capabilities, refits the model pair (rebuilding only the
+capabilities whose rules the new data can change), and picks the next query's
 initial state from the previous query's outcomes.
 """
 
@@ -82,8 +83,11 @@ class LearnerConfig:
             raise ConfigurationError("max_queries must be >= 0")
         if self.bootstrap_steps is not None and self.bootstrap_steps < 0:
             raise ConfigurationError("bootstrap_steps must be >= 0")
-        if self.kappa < 0:
-            raise ConfigurationError("kappa must be >= 0")
+        if not (math.isfinite(self.kappa) and self.kappa >= 0):
+            raise ConfigurationError(f"kappa must be finite and >= 0, got {self.kappa}")
+        budget = self.wall_clock_budget
+        if budget is not None and not (math.isfinite(budget) and budget > 0):
+            raise ConfigurationError(f"wall_clock_budget must be > 0 or null, got {budget}")
 
 
 @dataclass
@@ -94,7 +98,9 @@ class QueryRecord:
     search scored above 0), `fallback` (it did not, so a random sequence ran)
     or `random` (the random variant). `phases` maps each name in `PHASES` to
     the seconds the query spent in it; `snapshot` covers writing the
-    snapshot and `last_query.json`.
+    snapshot and `last_query.json`. `rebuilt` counts the capabilities whose
+    rules the query's refit rebuilt rather than carried over, and
+    `observed_states` the distinct transition source states recorded so far.
     """
 
     index: int
@@ -110,6 +116,8 @@ class QueryRecord:
     failures: int = 0
     source: str = ""
     phases: dict[str, float] = field(default_factory=dict)
+    rebuilt: int = 0
+    observed_states: int = 0
 
 
 @dataclass
@@ -434,7 +442,9 @@ def run(
                 novel += 1
         marks.append(time.perf_counter())
 
-        m_pess, m_opt = build_models(capabilities.values(), dataset, universe)
+        kept = m_pess.capabilities
+        m_pess, m_opt = build_models(capabilities.values(), dataset, universe, (m_pess, m_opt))
+        rebuilt = sum(cap is not kept.get(name) for name, cap in m_pess.capabilities.items())
         novel_history.append(novel)
         marks.append(time.perf_counter())
 
@@ -462,6 +472,8 @@ def run(
             failures=failures,
             source=source,
             phases={name: b - a for name, a, b in zip(PHASES, marks, marks[1:])},
+            rebuilt=rebuilt,
+            observed_states=dataset.observed_state_count(),
         )
         log.records.append(record)
         if config.progress:

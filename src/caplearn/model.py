@@ -11,7 +11,7 @@ partition.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -52,20 +52,48 @@ class ConditionalEffectRule:
             raise ValueError("duplicate effect pair within one rule")
 
 
+class _CapabilityMemo:
+    """Facts that depend only on one capability's rules, filled on first use.
+
+    `predictions` and `fires` map a state to `predict`'s result and to
+    whether some rule accepts it; `json` is `(universe, text)` of the
+    capability's compact `model_to_json` fragment.
+    """
+
+    __slots__ = ("predictions", "fires", "json")
+
+    def __init__(self) -> None:
+        self.predictions: dict[AbstractState, dict[AbstractState, float]] = {}
+        self.fires: dict[AbstractState, bool] = {}
+        self.json: tuple[AtomUniverse, str] | None = None
+
+
 @dataclass(frozen=True)
 class Capability:
-    """A named intent plus the conditional effect rules modeling it."""
+    """A named intent plus the conditional effect rules modeling it.
+
+    `memo` caches what `predict`, `fires` and `model_to_json` compute from
+    the rules. It is neither compared nor copied by `dataclasses.replace`,
+    and it travels with the object: every model holding this capability,
+    including the pairs `build_models` refits from it, shares it.
+    """
 
     name: str
     intent: LiteralConjunction
     rules: tuple[ConditionalEffectRule, ...] = ()
+    memo: _CapabilityMemo = field(
+        default_factory=_CapabilityMemo, init=False, compare=False, repr=False
+    )
 
 
 class CapabilityModel:
     """Immutable bundle of capabilities over one universe.
 
-    `flavor` is "pessimistic", "optimistic", or "ground-truth". Prediction
-    results are memoized; models must not be mutated after construction.
+    `flavor` is "pessimistic", "optimistic", or "ground-truth". Neither the
+    model nor its capabilities may be mutated after construction; memoized
+    predictions live in each `Capability`, so they outlive the model when a
+    refit keeps the capability. `fitted_to` is `(dataset, revisions)` for a
+    pair made by `build_models` and None otherwise.
     """
 
     def __init__(
@@ -73,11 +101,12 @@ class CapabilityModel:
         universe: AtomUniverse,
         capabilities: Mapping[str, Capability],
         flavor: str,
+        fitted_to: tuple[TransitionDataset, dict[str, int]] | None = None,
     ) -> None:
         self.universe = universe
         self.capabilities: dict[str, Capability] = dict(capabilities)
         self.flavor = flavor
-        self._predict_cache: dict[tuple[str, AbstractState], dict[AbstractState, float]] = {}
+        self.fitted_to = fitted_to
 
     def capability_names(self) -> list[str]:
         return sorted(self.capabilities)
@@ -165,15 +194,34 @@ def build_models(
     capabilities: Iterable[Capability],
     dataset: TransitionDataset,
     universe: AtomUniverse,
+    previous: tuple[CapabilityModel, CapabilityModel] | None = None,
 ) -> tuple[CapabilityModel, CapabilityModel]:
     """Build the pessimistic/optimistic model pair from the dataset.
 
     Capabilities without data get an empty rule list in both models; by the
     self-loop convention of predict() they then predict no change.
+
+    `previous`, a pair this function built earlier from the same dataset
+    object and universe, lets the refit keep both flavors' `Capability`
+    objects (rules and memo) for each capability whose intent and
+    `dataset.revision` are unchanged; the rest are rebuilt with fresh memos.
+    The result equals a build without `previous`.
     """
+    old_pess: Mapping[str, Capability] = {}
+    old_revisions: Mapping[str, int] = {}
+    if previous is not None and previous[0].fitted_to is not None:
+        old_dataset, old_revisions = previous[0].fitted_to
+        if old_dataset is dataset and previous[0].universe is universe:
+            old_pess = previous[0].capabilities
+    revisions: dict[str, int] = {}
     pess: dict[str, Capability] = {}
     opt: dict[str, Capability] = {}
     for cap in capabilities:
+        revision = revisions[cap.name] = dataset.revision(cap.name)
+        kept = old_pess.get(cap.name)
+        if kept is not None and old_revisions.get(cap.name) == revision and kept.intent == cap.intent:
+            pess[cap.name], opt[cap.name] = kept, previous[1].capabilities[cap.name]
+            continue
         parts = partition(dataset, cap.name)
         pess_rules = []
         opt_rules = []
@@ -187,9 +235,10 @@ def build_models(
             )
         pess[cap.name] = Capability(cap.name, cap.intent, tuple(pess_rules))
         opt[cap.name] = Capability(cap.name, cap.intent, tuple(opt_rules))
+    fitted_to = (dataset, revisions)
     return (
-        CapabilityModel(universe, pess, "pessimistic"),
-        CapabilityModel(universe, opt, "optimistic"),
+        CapabilityModel(universe, pess, "pessimistic", fitted_to),
+        CapabilityModel(universe, opt, "optimistic", fitted_to),
     )
 
 
@@ -211,14 +260,17 @@ def predict(
 
     The first rule whose condition accepts the state fires; its effect masses
     are summed per successor. With no accepting rule the model predicts no
-    change (point mass on `state`).
+    change (point mass on `state`). Results are memoized in the capability.
     """
-    key = (capability, state)
-    cached = model._predict_cache.get(key)
-    if cached is not None:
-        return cached
-    dist: dict[AbstractState, float] = {}
-    for rule in model.rules_for(capability):
+    cap = model.capabilities.get(capability)
+    if cap is None:
+        return {state: 1.0}
+    memo = cap.memo.predictions
+    dist = memo.get(state)
+    if dist is not None:
+        return dist
+    dist = {}
+    for rule in cap.rules:
         if satisfies(state, rule.condition):
             for p, eff in rule.effects:
                 s2 = apply_effect(state, eff)
@@ -226,8 +278,20 @@ def predict(
             break
     if not dist:
         dist = {state: 1.0}
-    model._predict_cache[key] = dist
+    memo[state] = dist
     return dist
+
+
+def fires(model: CapabilityModel, state: AbstractState, capability: str) -> bool:
+    """Whether some rule of `capability` accepts `state`; memoized in the capability."""
+    cap = model.capabilities.get(capability)
+    if cap is None:
+        return False
+    memo = cap.memo.fires
+    hit = memo.get(state)
+    if hit is None:
+        hit = memo[state] = any(satisfies(state, rule.condition) for rule in cap.rules)
+    return hit
 
 
 def entailed_successors(
@@ -288,48 +352,56 @@ def _condition_from_json(data: dict, universe: AtomUniverse) -> Condition:
     return Condition(clauses, universe.num_atoms, negated=bool(data["negated"]))
 
 
+def _capability_json(cap: Capability, u: AtomUniverse) -> str:
+    """The capability as compact sorted-key JSON, memoized per universe."""
+    memo = cap.memo
+    if memo.json is None or memo.json[0] is not u:
+        doc = {
+            "name": cap.name,
+            "intent": {
+                "pos": u.names_of(cap.intent.positives),
+                "neg": u.names_of(cap.intent.negatives),
+            },
+            "rules": [
+                {
+                    "condition": _condition_to_json(r.condition, u),
+                    "effects": [
+                        {"p": p, "add": u.names_of(e.add), "del": u.names_of(e.delete)}
+                        for p, e in r.effects
+                    ],
+                }
+                for r in cap.rules
+            ],
+        }
+        memo.json = (u, json.dumps(doc, sort_keys=True))
+    return memo.json[1]
+
+
 def model_to_json(model: CapabilityModel, indent: int | None = 2) -> str:
     """The model as sorted-key JSON ending in a newline.
 
-    `indent=None` writes one line through the C encoder, several times faster
-    than the pure-Python encoder `json.dumps` uses for any `indent`.
+    `indent=None` writes one line: `json.dumps` of the whole document, with
+    each capability's memoized fragment spliced in. The C encoder's compact
+    output for a value does not depend on where the value sits, and
+    "capabilities" is the first key in sorted order. Any other `indent`
+    reparses that line and dumps it again; floats survive the round trip.
     """
     u = model.universe
-    caps = []
-    for name in sorted(model.capabilities):
-        cap = model.capabilities[name]
-        caps.append(
-            {
-                "name": cap.name,
-                "intent": {
-                    "pos": u.names_of(cap.intent.positives),
-                    "neg": u.names_of(cap.intent.negatives),
-                },
-                "rules": [
-                    {
-                        "condition": _condition_to_json(r.condition, u),
-                        "effects": [
-                            {
-                                "p": p,
-                                "add": u.names_of(e.add),
-                                "del": u.names_of(e.delete),
-                            }
-                            for p, e in r.effects
-                        ],
-                    }
-                    for r in cap.rules
-                ],
-            }
-        )
-    doc = {
-        "flavor": model.flavor,
-        "universe": {
-            "predicates": {n: list(t) for n, t in sorted(u.predicates.items())},
-            "objects": dict(sorted(u.objects.items())),
+    caps = ", ".join(_capability_json(model.capabilities[n], u) for n in sorted(model.capabilities))
+    rest = json.dumps(
+        {
+            "flavor": model.flavor,
+            "universe": {
+                "predicates": {n: list(t) for n, t in sorted(u.predicates.items())},
+                "objects": dict(sorted(u.objects.items())),
+            },
         },
-        "capabilities": caps,
-    }
-    return json.dumps(doc, indent=indent, sort_keys=True) + "\n"
+        sort_keys=True,
+    )
+    text = f'{{"capabilities": [{caps}], {rest[1:]}'
+    if indent is not None:
+        text = json.dumps(json.loads(text), indent=indent, sort_keys=True)
+    return text + "\n"
 
 
 def model_from_json(text: str, universe: AtomUniverse | None = None) -> CapabilityModel:

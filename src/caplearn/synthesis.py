@@ -20,9 +20,9 @@ from functools import cached_property
 from random import Random
 from typing import Mapping, Sequence
 
-from .abstraction import AbstractState, AtomUniverse, satisfies
+from .abstraction import AbstractState, AtomUniverse
 from .distributions import StateDistribution, push_distribution, tv_distance
-from .model import CapabilityModel, predict
+from .model import CapabilityModel, fires, predict
 
 
 def uct_score(q: float, log_n_parent: float, n_edge: int, kappa: float) -> float:
@@ -271,8 +271,8 @@ def synthesize_sampled(
     unvisited edge, else the first maximum of `q + kappa * sqrt(log N / n)`.
 
     Within one call every state seen gets one `_StateTable`: its applicable
-    capabilities, computed once, and per capability a step entry built on
-    first use from one `predict` per model. The RNG stream is one
+    capabilities, computed once through the memoized `fires`, and per
+    capability a step entry built on first use from one `predict` per model. The RNG stream is one
     `rng.random()` per sampled step (also with a single successor) and, per
     rollout step, the draws of `rng.randrange` over the applicable
     capabilities, so result and stream are those of a search that draws
@@ -296,10 +296,7 @@ def synthesize_sampled(
         table = tables.get(state.bits)
         if table is None:
             applicable = [
-                c
-                for c in all_caps
-                if any(satisfies(state, r.condition) for r in m_pess.rules_for(c))
-                or any(satisfies(state, r.condition) for r in m_opt.rules_for(c))
+                c for c in all_caps if fires(m_pess, state, c) or fires(m_opt, state, c)
             ]
             table = tables[state.bits] = _StateTable(state, applicable)
         return table

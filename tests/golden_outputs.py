@@ -1,7 +1,9 @@
 """Pinned output digests of a few short learning runs.
 
 Each config runs `learner.run` into a fresh directory and hashes the bytes of
-`final_model.json` and `dataset.jsonl`. A change that must leave the learner's
+`final_model.json` and `dataset.jsonl`, and the concatenated bytes of every
+`snapshots/query_*.json` in query order, which pins each intermediate model
+too. A change that must leave the learner's
 outputs byte-identical (a performance change) keeps these digests; a change to
 the method updates them on purpose.
 
@@ -42,30 +44,37 @@ EXPECTED = {
     "vacuum-exact": {
         "final_model.json": "d0be9b62c0c587f778544a55aa6d6e9d2e4ab4e605ac05b1d897453b95dd7b3d",
         "dataset.jsonl": "7435273c46df8844b1be481149fc2486e42cb5a5faf67e2b5b7fb18f64a6f2a8",
+        "snapshots": "98d5f1e4ee19a8785052184f26f2b98e5dae29b490b3f794dc8fb5d0cdc1edbd",
     },
     "vacuum-sampled": {
         "final_model.json": "75e8cdb055a2a98f75e2c97e86c6f62d874b42489418e6b2c468c54ff0a331ec",
         "dataset.jsonl": "81ed8ef0d568ee11419b9201df03c8a96ab77f04e77e5d2d8a4c3d64100029e7",
+        "snapshots": "6f21633230baf19264179955bc1e464630bd294d9af0343d011945b1e99ec1d0",
     },
     "roads-exact": {
         "final_model.json": "74f7cbd715b8ae63933242633d34c560229141fe916705ee9fdd254153182272",
         "dataset.jsonl": "d0a60c04c922d6d69bec3c844c559c8f513eda83bbf20200432e44aa1540fb55",
+        "snapshots": "25714c91217b564361a8cf59e3218d8e12db37ad49af78d682f57b8ca874f9ee",
     },
     "roads-sampled": {
         "final_model.json": "fecfebac402b8a4189a934e5b25e6eb562cc6f85874713e3cd814112be2c27bb",
         "dataset.jsonl": "41cd2a612b82ac0794823d07f52ca98756eee32874a3803002a90247e20fb64a",
+        "snapshots": "8211a335aab26878993cb2a589a66464420b345be2d29d57d44edffd2a610e61",
     },
     "roads-random": {
         "final_model.json": "a809c36d46e8013abd8f1a4741048e27ff66ef41ba40ae3ac0ec6f7f991cd28b",
         "dataset.jsonl": "71df0023730953b42d49a683196d604fef094c03ec132049449473fab36ac69c",
+        "snapshots": "ae4737e2985a4e9bc5a9f3c516380c451eed44fbddb74219ce4d0cc9d5d0381b",
     },
     "blocks-exact": {
         "final_model.json": "6e2c101f013293ec79253f432ad1f030ead4ee4b6562a11f93fdfe0f24ab1d51",
         "dataset.jsonl": "0dea6b5bdfe5442b233098b51fa4c8d64ee5251d50d325fd46a6be226a8a197c",
+        "snapshots": "c1ee89d2f77bbfb711e0517517f123ca8be0bac6b0071560670fdbe4f8517585",
     },
     "blocks-sampled": {
         "final_model.json": "361c1e0300c3c956433b7ab773c65d15f52a31f5bde61c5d1df8c6105a6599dd",
         "dataset.jsonl": "b64fb81c7c86a0839e30da355f4ca6bc5a1279fcec997a03808abcc93579b434",
+        "snapshots": "521a7bbc5566200a27bb34ee4e518fe421830e414cae66b959d6801f85d13fe0",
     },
 }
 
@@ -80,9 +89,14 @@ def run_digests(name: str, out_dir: Path) -> dict[str, str]:
         seed=seed,
     )
     run(config, make_environment(env, seed=f"{seed}/env"), out_dir=out_dir)
-    return {
+    digests = {
         out: hashlib.sha256((out_dir / out).read_bytes()).hexdigest() for out in OUTPUTS
     }
+    snapshots = sorted(
+        (out_dir / "snapshots").glob("query_*.json"), key=lambda p: int(p.stem[len("query_"):])
+    )
+    digests["snapshots"] = hashlib.sha256(b"".join(p.read_bytes() for p in snapshots)).hexdigest()
+    return digests
 
 
 def all_digests() -> dict[str, dict[str, str]]:

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from caplearn.abstraction import ConfigurationError
-from caplearn.config import RunConfig, parse_config
+from caplearn.config import RunConfig, load_config, parse_config
 from caplearn.evaluation import EvalConfig
 from caplearn.learner import LearnerConfig
 
@@ -69,3 +69,32 @@ class TestFieldTypes:
     def test_fields_set_outside_the_section_are_unknown(self, section, field):
         with pytest.raises(ConfigurationError, match=f"unknown {section} field"):
             parse_config(_doc(section, **{field: 1}))
+
+
+class TestLearnerBounds:
+    """Non-finite or out-of-range numbers in a config file are refused on load."""
+
+    def _load(self, tmp_path, text: str):
+        path = tmp_path / "config.json"
+        path.write_text('{"environment": {"name": "vacuum"}, "learner": {%s}}' % text)
+        return load_config(path)
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "-0.5"])
+    def test_kappa_must_be_finite_and_non_negative(self, tmp_path, value):
+        with pytest.raises(ConfigurationError, match="kappa"):
+            self._load(tmp_path, f'"kappa": {value}')
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-1", "0"])
+    def test_wall_clock_budget_must_be_finite_and_positive(self, tmp_path, value):
+        with pytest.raises(ConfigurationError, match="wall_clock_budget"):
+            self._load(tmp_path, f'"wall_clock_budget": {value}')
+
+    def test_nan_kappa_with_negative_budget_is_refused(self, tmp_path):
+        with pytest.raises(ConfigurationError):
+            self._load(tmp_path, '"kappa": NaN, "wall_clock_budget": -1')
+
+    def test_boundary_values_load(self, tmp_path):
+        cfg = self._load(tmp_path, '"kappa": 0, "wall_clock_budget": 0.5')
+        assert cfg.learner.kappa == 0
+        assert cfg.learner.wall_clock_budget == 0.5
+        assert self._load(tmp_path, '"wall_clock_budget": null').learner.wall_clock_budget is None

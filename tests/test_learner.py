@@ -6,9 +6,10 @@ from random import Random
 
 import pytest
 
+import caplearn.learner as learner_module
 from caplearn.abstraction import ConfigurationError, LiteralConjunction, build_universe
 from caplearn.dataset import TransitionDataset, Transition
-from caplearn.envs import vacuum_world
+from caplearn.envs import make_environment, vacuum_world
 from caplearn.learner import (
     PHASES,
     LearnerConfig,
@@ -19,7 +20,15 @@ from caplearn.learner import (
     run_capability,
     sample_initial_state,
 )
-from caplearn.model import entails, entailed_successors, load_model, model_to_json
+from caplearn.model import (
+    build_models,
+    entails,
+    entailed_successors,
+    fires,
+    load_model,
+    model_to_json,
+    predict,
+)
 from caplearn.synthesis import Query, SequencePolicy, StatePolicy
 
 
@@ -413,3 +422,66 @@ class TestRun:
             model.flavor,
         )
         assert equivalent(projected, b.ground_truth, reach)
+
+
+class TestIncrementalRefit:
+    """The loop's refit keeps unchanged capabilities and equals a full rebuild."""
+
+    @pytest.mark.parametrize(
+        "env,variant",
+        [("roads", "exact"), ("roads", "sampled"), ("roads", "random"), ("blocks", "exact")],
+    )
+    def test_pair_equals_from_scratch_build_after_every_query(self, monkeypatch, env, variant):
+        rebuilt_counts = []
+
+        def checked_build(capabilities, dataset, universe, previous=None):
+            capabilities = list(capabilities)
+            pair = build_models(capabilities, dataset, universe, previous)
+            scratch = build_models(capabilities, dataset, universe)
+            for got, want in zip(pair, scratch):
+                assert got.capabilities == want.capabilities
+                assert model_to_json(got, indent=None) == model_to_json(want, indent=None)
+                for name, cap in got.capabilities.items():
+                    # Memo entries carried over from earlier queries.
+                    for s, dist in cap.memo.predictions.items():
+                        assert dist == predict(want, s, name)
+                    for s, hit in cap.memo.fires.items():
+                        assert hit == fires(want, s, name)
+            kept = {} if previous is None else previous[0].capabilities
+            rebuilt_counts.append(
+                sum(cap is not kept.get(name) for name, cap in pair[0].capabilities.items())
+            )
+            return pair
+
+        held = []
+        coverage = []
+
+        def hook(index, m_pess, log, dataset):
+            held.append((m_pess, model_to_json(m_pess, indent=None)))
+            coverage.append(len({t.s for t in dataset.counts}))
+
+        monkeypatch.setattr(learner_module, "build_models", checked_build)
+        config = LearnerConfig(
+            variant=variant, mcts_iterations=60, depth=4, max_queries=80, seed=1
+        )
+        model, log = run(config, make_environment(env, seed="1/env"), checkpoint_hook=hook)
+        assert len(log.records) == 80
+        assert [r.rebuilt for r in log.records] == rebuilt_counts[1:]
+        assert [r.observed_states for r in log.records] == coverage
+        # Most capabilities are carried over on most queries.
+        assert sum(rebuilt_counts[1:]) < len(model.capabilities) * len(log.records) / 2
+        # Models held from earlier queries still serialize as they did then.
+        for m_pess, text in held:
+            assert model_to_json(m_pess, indent=None) == text
+
+    def test_runlog_carries_refit_and_coverage_fields(self, tmp_path):
+        b = vacuum_world(seed="5/env")
+        run(LearnerConfig(variant="exact", mcts_iterations=60, depth=4, max_queries=6, seed=5),
+            b, out_dir=tmp_path)
+        records = [json.loads(line) for line in (tmp_path / "runlog.jsonl").read_text().splitlines()[:-1]]
+        assert len(records) == 6
+        for rec in records:
+            assert isinstance(rec["rebuilt"], int) and rec["rebuilt"] >= 0
+            assert isinstance(rec["observed_states"], int) and rec["observed_states"] >= 1
+        states = [r["observed_states"] for r in records]
+        assert states == sorted(states)

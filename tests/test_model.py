@@ -1,3 +1,4 @@
+import dataclasses
 from random import Random
 
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from caplearn.model import (
     entails,
     entailed_successors,
     equivalent,
+    fires,
     model_from_json,
     model_to_json,
     model_to_text,
@@ -219,6 +221,93 @@ class TestBuildModels:
             for cap in model.capabilities.values():
                 for rule in cap.rules:
                     assert abs(sum(p for p, _ in rule.effects) - 1.0) <= 1e-9
+
+
+class TestIncrementalBuild:
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 3), st.sampled_from("ab"), st.integers(0, 3), st.integers(1, 3)
+            ),
+            max_size=40,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_revision_changes_whenever_rules_do(self, stream):
+        u = small_universe(3)
+        caps = [_cap("a"), _cap("b")]
+        ds = TransitionDataset()
+        pair = scratch = build_models(caps, ds, u)
+        for s, c, s2, n in stream:
+            t = Transition(AbstractState(s, 3), c, AbstractState(s2, 3))
+            repeat_of_single_outcome = t in ds.counts and len(ds.transitions_from(c, t.s)) == 1
+            before = {cap.name: ds.revision(cap.name) for cap in caps}
+            ds.add(t, n)
+            previous_scratch, scratch = scratch, build_models(caps, ds, u)
+            for name, revision in before.items():
+                changed = any(
+                    old.capabilities[name] != new.capabilities[name]
+                    for old, new in zip(previous_scratch, scratch)
+                )
+                if changed:
+                    assert ds.revision(name) != revision
+                if name != c or repeat_of_single_outcome:
+                    assert ds.revision(name) == revision
+            pair = build_models(caps, ds, u, pair)
+            for got, want in zip(pair, scratch):
+                assert got.capabilities == want.capabilities
+
+    def _two_capability_refit(self):
+        u = small_universe(3)
+        s, s1, s2 = (AbstractState(bits, 3) for bits in (0b000, 0b001, 0b010))
+        caps = [_cap("a"), _cap("b")]
+        ds = TransitionDataset()
+        ds.add(Transition(s, "a", s1))
+        ds.add(Transition(s, "b", s1))
+        old = build_models(caps, ds, u)
+        for m in old:
+            predict(m, s, "a")
+            predict(m, s, "b")
+            model_to_json(m)
+        ds.add(Transition(s, "a", s1))  # a repeat from a single-outcome state
+        ds.add(Transition(s, "b", s2))  # a second outcome
+        return u, caps, ds, old, build_models(caps, ds, u, old)
+
+    def test_rebuilt_capability_gets_fresh_memo_and_kept_one_keeps_its_own(self):
+        _, _, _, old, new = self._two_capability_refit()
+        for o, n in zip(old, new):
+            assert n.capabilities["a"] is o.capabilities["a"]
+            assert n.capabilities["a"].memo is o.capabilities["a"].memo
+            assert n.capabilities["a"].memo.predictions
+            rebuilt = n.capabilities["b"]
+            assert rebuilt is not o.capabilities["b"]
+            assert rebuilt.memo is not o.capabilities["b"].memo
+            assert rebuilt.memo.predictions == {} and rebuilt.memo.json is None
+
+    def test_held_model_predicts_from_its_own_rules(self):
+        u, _, _, old, new = self._two_capability_refit()
+        s, s1, s2, s3 = (AbstractState(bits, 3) for bits in (0b000, 0b001, 0b010, 0b100))
+        assert predict(old[0], s, "b") == {s1: 1.0}
+        assert predict(new[0], s, "b") == {s1: 0.5, s2: 0.5}
+        # A state first asked about after the refit: the old optimistic rule
+        # still has its single outcome.
+        assert predict(old[1], s3, "b") == {AbstractState(0b101, 3): 1.0}
+        assert predict(new[1], s3, "b") == {AbstractState(0b101, 3): 0.5, AbstractState(0b110, 3): 0.5}
+        assert fires(old[0], s, "b") and not fires(old[0], s3, "b")
+        assert model_to_json(old[0]) != model_to_json(new[0])
+
+    def test_nothing_is_reused_from_another_dataset(self):
+        u, caps, ds, _, new = self._two_capability_refit()
+        copy = TransitionDataset.from_jsonl(ds.to_jsonl(u), u)
+        again = build_models(caps, copy, u, new)
+        for n, a in zip(new, again):
+            assert n.capabilities == a.capabilities
+            assert all(a.capabilities[name] is not cap for name, cap in n.capabilities.items())
+
+    def test_replaced_capability_gets_a_fresh_memo(self):
+        _, _, _, old, _ = self._two_capability_refit()
+        cap = old[0].capabilities["a"]
+        assert dataclasses.replace(cap).memo is not cap.memo
 
 
 class TestEntailment:
