@@ -1,8 +1,7 @@
-"""Sparse log-space distributions over abstract states and their distances."""
+"""State distributions, plain probability dicts as `predict` returns them, and their distances."""
 
 from __future__ import annotations
 
-import math
 from typing import Mapping, Sequence, TypeVar
 
 from .abstraction import AbstractState
@@ -11,84 +10,36 @@ from .model import CapabilityModel, predict
 T = TypeVar("T")
 
 
-class StateDistribution:
-    """Sparse map from abstract state to log-probability mass.
-
-    Only states with nonzero mass are stored. Masses of merged successors are
-    combined with log-sum-exp, so long push chains stay numerically stable.
-    """
-
-    __slots__ = ("log_mass",)
-
-    def __init__(self, log_mass: Mapping[AbstractState, float] | None = None) -> None:
-        self.log_mass: dict[AbstractState, float] = dict(log_mass or {})
-
-    @classmethod
-    def point(cls, state: AbstractState) -> "StateDistribution":
-        return cls({state: 0.0})
-
-    @classmethod
-    def from_probs(cls, probs: Mapping[AbstractState, float]) -> "StateDistribution":
-        return cls({s: math.log(p) for s, p in probs.items() if p > 0.0})
-
-    def probs(self) -> dict[AbstractState, float]:
-        return {s: math.exp(lp) for s, lp in self.log_mass.items()}
-
-    def support(self) -> frozenset[AbstractState]:
-        return frozenset(self.log_mass)
-
-    def mass(self, state: AbstractState) -> float:
-        lp = self.log_mass.get(state)
-        return 0.0 if lp is None else math.exp(lp)
-
-    def total(self) -> float:
-        return sum(math.exp(lp) for lp in self.log_mass.values())
-
-    def __len__(self) -> int:
-        return len(self.log_mass)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, StateDistribution) and self.log_mass == other.log_mass
-
-
-def _logaddexp(a: float, b: float) -> float:
-    if a < b:
-        a, b = b, a
-    return a + math.log1p(math.exp(b - a))
-
-
 def push_distribution(
-    dist: StateDistribution, model: CapabilityModel, capability: str
-) -> StateDistribution:
+    dist: Mapping[AbstractState, float], model: CapabilityModel, capability: str
+) -> dict[AbstractState, float]:
     """One-step image of `dist` under one capability of `model`.
 
     Each state's successors come from the memoized `predict` (a state
     no condition accepts keeps its mass); successors reached from several
-    states are merged in log space.
+    states have their masses summed. A product that underflows to 0.0 keeps
+    its state in the support.
     """
     out: dict[AbstractState, float] = {}
-    for state, lp in dist.log_mass.items():
+    for state, q in dist.items():
         for s2, p in predict(model, state, capability).items():
-            total = lp + math.log(p)
-            prev = out.get(s2)
-            out[s2] = total if prev is None else _logaddexp(prev, total)
-    return StateDistribution(out)
+            out[s2] = out.get(s2, 0.0) + q * p
+    return out
 
 
-def tv_distance(d1: StateDistribution, d2: StateDistribution) -> float:
+def tv_distance(d1: Mapping[AbstractState, float], d2: Mapping[AbstractState, float]) -> float:
     """Total-variation distance: half the L1 gap over the union of supports."""
     total = 0.0
-    for s in d1.support() | d2.support():
-        total += abs(d1.mass(s) - d2.mass(s))
+    for s in d1.keys() | d2.keys():
+        total += abs(d1.get(s, 0.0) - d2.get(s, 0.0))
     return 0.5 * total
 
 
-def sd_reward(d1: StateDistribution, d2: StateDistribution) -> float:
+def sd_reward(d1: Mapping[AbstractState, float], d2: Mapping[AbstractState, float]) -> float:
     """Half-mixture mass on the symmetric difference of the two supports."""
-    sup1, sup2 = d1.support(), d2.support()
     total = 0.0
-    for s in sup1 ^ sup2:
-        total += 0.5 * d1.mass(s) + 0.5 * d2.mass(s)
+    for s in d1.keys() ^ d2.keys():
+        total += 0.5 * d1.get(s, 0.0) + 0.5 * d2.get(s, 0.0)
     return total
 
 

@@ -4,8 +4,9 @@ Two synthesizers solve the same planning problem: find a capability policy
 whose predicted outcome distributions diverge between the pessimistic and
 optimistic models.
 
-- `synthesize_exact` searches over nodes holding exact distribution pairs and
-  scores them with total-variation distance.
+- `synthesize_exact` searches over nodes holding exact distribution pairs,
+  plain probability dicts like those `predict` returns, and scores them with
+  total-variation distance.
 - `synthesize_sampled` searches over single sampled states and scores with an
   indicator for landing in the symmetric difference of the two models'
   one-step successor supports.
@@ -21,7 +22,7 @@ from random import Random
 from typing import Mapping, Sequence
 
 from .abstraction import AbstractState, AtomUniverse
-from .distributions import StateDistribution, push_distribution, tv_distance
+from .distributions import push_distribution, tv_distance
 from .model import CapabilityModel, fires, predict
 
 
@@ -101,7 +102,9 @@ def random_policy_query(
 class _DistNode:
     __slots__ = ("dist_p", "dist_o", "reward", "children", "untried", "n", "n_edge", "q", "value")
 
-    def __init__(self, dist_p: StateDistribution, dist_o: StateDistribution, caps: Sequence[str]) -> None:
+    def __init__(
+        self, dist_p: dict[AbstractState, float], dist_o: dict[AbstractState, float], caps: Sequence[str]
+    ) -> None:
         self.dist_p = dist_p
         self.dist_o = dist_o
         self.reward = tv_distance(dist_p, dist_o)
@@ -134,8 +137,8 @@ def synthesize_exact(
     caps = sorted(set(m_pess.capabilities) | set(m_opt.capabilities))
     if not caps or iterations <= 0:
         return SynthesisResult(StatePolicy(()), 0.0)
-    root = _DistNode(StateDistribution.point(s0), StateDistribution.point(s0), caps)
-    seen_supports = {(root.dist_p.support(), root.dist_o.support())}
+    root = _DistNode({s0: 1.0}, {s0: 1.0}, caps)
+    seen_supports = {(frozenset(root.dist_p), frozenset(root.dist_o))}
 
     def rollout_value(node: _DistNode, used_depth: int) -> float:
         total = 0.0
@@ -161,7 +164,7 @@ def synthesize_exact(
                 cap = node.untried.pop(0)
                 child_p = push_distribution(node.dist_p, m_pess, cap)
                 child_o = push_distribution(node.dist_o, m_opt, cap)
-                key = (child_p.support(), child_o.support())
+                key = (frozenset(child_p), frozenset(child_o))
                 if key in seen_supports:
                     continue
                 seen_supports.add(key)
@@ -198,7 +201,7 @@ def synthesize_exact(
         if not visited:
             break
         best_cap = min(visited, key=lambda c: (-visited[c], c))
-        for s in node.dist_p.support() | node.dist_o.support():
+        for s in node.dist_p.keys() | node.dist_o.keys():
             mapping.setdefault(s, best_cap)
         node = node.children[best_cap]
     return SynthesisResult(StatePolicy.from_dict(mapping), score)
@@ -217,7 +220,7 @@ class _StateTable:
     pairs. The owning call clears `steps` on return, which breaks the cycles
     between tables. A rollout draws `getrandbits(bits_k)` until the value is
     below `len(caps)`, which is how `randrange(len(caps))` consumes the RNG
-    on CPython 3.10 to 3.12.
+    on CPython 3.10 to 3.13.
     """
 
     __slots__ = ("state", "caps", "bits_k", "steps")

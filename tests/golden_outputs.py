@@ -39,7 +39,7 @@ CONFIGS = {
 
 OUTPUTS = ("final_model.json", "dataset.jsonl")
 
-# The same under CPython 3.10, 3.11 and 3.12 and under every hash seed tried.
+# The same under CPython 3.10, 3.11, 3.12 and 3.13 and under every hash seed tried.
 EXPECTED = {
     "vacuum-exact": {
         "final_model.json": "d0be9b62c0c587f778544a55aa6d6e9d2e4ab4e605ac05b1d897453b95dd7b3d",
@@ -67,9 +67,9 @@ EXPECTED = {
         "snapshots": "ae4737e2985a4e9bc5a9f3c516380c451eed44fbddb74219ce4d0cc9d5d0381b",
     },
     "blocks-exact": {
-        "final_model.json": "6e2c101f013293ec79253f432ad1f030ead4ee4b6562a11f93fdfe0f24ab1d51",
-        "dataset.jsonl": "0dea6b5bdfe5442b233098b51fa4c8d64ee5251d50d325fd46a6be226a8a197c",
-        "snapshots": "c1ee89d2f77bbfb711e0517517f123ca8be0bac6b0071560670fdbe4f8517585",
+        "final_model.json": "015405c10b4bd8fe7e28006db065d759761a8ccc16510b3cd90592d804df7d30",
+        "dataset.jsonl": "6ebc64c906bae715913ef92895892b1b063ba59e7f13a2c48e727598112cb99c",
+        "snapshots": "c6fa4ae9a3cd8bb12973faabd6da637f76c26f1e2f8644a4702b466af7c8945f",
     },
     "blocks-sampled": {
         "final_model.json": "361c1e0300c3c956433b7ab773c65d15f52a31f5bde61c5d1df8c6105a6599dd",

@@ -14,12 +14,7 @@ import pytest
 
 from caplearn.abstraction import build_universe
 from caplearn.dataset import Transition, TransitionDataset
-from caplearn.distributions import (
-    StateDistribution,
-    push_distribution,
-    sd_reward,
-    tv_distance,
-)
+from caplearn.distributions import push_distribution, sd_reward, tv_distance
 from caplearn.envs import road_world, vacuum_world
 from caplearn.evaluation import (
     exact_vd,
@@ -225,8 +220,8 @@ class TestCriterion5PushOracle:
             universe = _universe_of_size(rng)
             dist = random_distribution(universe, rng)
             rules = tuple(random_rule(universe.num_atoms, rng) for _ in range(rng.randint(1, 3)))
-            got = push_distribution(dist, rule_model(universe, rules), RULE_CAP).probs()
-            want = dense_push_oracle(dist.probs(), rules, universe.num_atoms)
+            got = push_distribution(dist, rule_model(universe, rules), RULE_CAP)
+            want = dense_push_oracle(dist, rules, universe.num_atoms)
             for s in set(got) | set(want):
                 gap = abs(got.get(s, 0.0) - want.get(s, 0.0))
                 worst = max(worst, gap)
@@ -273,18 +268,16 @@ class TestCriterion7MetricCorrectness:
         u = build_universe({"p": ["x"], "q": ["x"], "r": ["x"]}, {"a": "x"})
         a, b, c = (u.encode([n]) for n in ("p(a)", "q(a)", "r(a)"))
         tv_cases = [
-            (StateDistribution.from_probs({a: 0.5, b: 0.5}),
-             StateDistribution.from_probs({a: 1.0}), 0.5),
-            (StateDistribution.point(a), StateDistribution.point(a), 0.0),
-            (StateDistribution.point(a), StateDistribution.point(b), 1.0),
+            ({a: 0.5, b: 0.5}, {a: 1.0}, 0.5),
+            ({a: 1.0}, {a: 1.0}, 0.0),
+            ({a: 1.0}, {b: 1.0}, 1.0),
         ]
         worst = 0.0
         for d1, d2, want in tv_cases:
             worst = max(worst, abs(tv_distance(d1, d2) - want))
 
         sd_cases = [
-            (StateDistribution.from_probs({a: 0.5, b: 0.5}),
-             StateDistribution.from_probs({b: 0.5, c: 0.5}), 0.5),
+            ({a: 0.5, b: 0.5}, {b: 0.5, c: 0.5}, 0.5),
         ]
         for d1, d2, want in sd_cases:
             worst = max(worst, abs(sd_reward(d1, d2) - want))

@@ -6,13 +6,7 @@ from hypothesis import strategies as st
 
 from caplearn.abstraction import AbstractState, Condition, LiteralConjunction, satisfies
 from caplearn.dataset import EffectPair
-from caplearn.distributions import (
-    StateDistribution,
-    draw,
-    push_distribution,
-    sd_reward,
-    tv_distance,
-)
+from caplearn.distributions import draw, push_distribution, sd_reward, tv_distance
 from caplearn.model import ConditionalEffectRule, apply_effect, predict
 from .conftest import RULE_CAP, random_rule, random_state, rule_model, small_universe
 
@@ -39,40 +33,37 @@ def random_distribution(universe, rng, max_support=6):
     support = {random_state(universe, rng) for _ in range(rng.randint(1, max_support))}
     weights = {s: rng.random() + 0.01 for s in support}
     total = sum(weights.values())
-    return StateDistribution.from_probs({s: w / total for s, w in weights.items()})
+    return {s: w / total for s, w in weights.items()}
+
+
+def coin_model(universe, atom, p):
+    """Always fires: sets `atom` with probability p, else clears it."""
+    mask = universe.mask_of([atom])
+    effects = ((p, EffectPair(mask, 0)), (1.0 - p, EffectPair(0, mask)))
+    rule = ConditionalEffectRule(Condition.always(universe.num_atoms), effects)
+    return rule_model(universe, (rule,))
 
 
 class TestStateDistribution:
-    def test_point_mass(self):
-        s = AbstractState(0b1, 2)
-        d = StateDistribution.point(s)
-        assert d.mass(s) == 1.0
-        assert d.support() == {s}
-
-    def test_no_zero_mass_entries(self):
-        s = AbstractState(0, 2)
-        d = StateDistribution.from_probs({s: 1.0, AbstractState(1, 2): 0.0})
-        assert d.support() == {s}
-
     def test_total_is_one_after_pushes(self):
         rng = Random("norm")
         u = small_universe(6)
         d = random_distribution(u, rng)
         for _ in range(30):
             d = push_distribution(d, rule_model(u, (random_rule(u.num_atoms, rng),)), RULE_CAP)
-        assert abs(d.total() - 1.0) <= 1e-9
+        assert abs(sum(d.values()) - 1.0) <= 1e-9
 
 
 class TestPushDistribution:
     def test_no_rule_fires_is_identity(self):
         u = small_universe(3)
         s = u.encode(["p0(a)"])
-        d = StateDistribution.point(s)
+        d = {s: 1.0}
         rule = ConditionalEffectRule(
             Condition.never(3), ((1.0, EffectPair(0b10, 0)),)
         )
         out = push_distribution(d, rule_model(u, (rule,)), RULE_CAP)
-        assert out.probs() == pytest.approx({s: 1.0})
+        assert out == pytest.approx({s: 1.0})
 
     def test_three_outcome_rule_three_successors(self, vacuum_universe):
         u = vacuum_universe
@@ -88,18 +79,18 @@ class TestPushDistribution:
                 (0.25, EffectPair(0, charged)),
             ),
         )
-        out = push_distribution(StateDistribution.point(s), rule_model(u, (rule,)), RULE_CAP)
-        assert sorted(out.probs().values(), reverse=True) == pytest.approx([0.50, 0.25, 0.25])
+        out = push_distribution({s: 1.0}, rule_model(u, (rule,)), RULE_CAP)
+        assert sorted(out.values(), reverse=True) == pytest.approx([0.50, 0.25, 0.25])
 
     def test_partial_firing_preserves_unmatched_mass(self):
         u = small_universe(3)
         s1, s2 = u.encode(["p0(a)"]), u.encode(["p1(a)"])
-        d = StateDistribution.from_probs({s1: 0.5, s2: 0.5})
+        d = {s1: 0.5, s2: 0.5}
         rule = ConditionalEffectRule(
             Condition((LiteralConjunction(u.mask_of(["p0(a)"]), 0),), 3),
             ((1.0, EffectPair(u.mask_of(["p2(a)"]), 0)),),
         )
-        out = push_distribution(d, rule_model(u, (rule,)), RULE_CAP).probs()
+        out = push_distribution(d, rule_model(u, (rule,)), RULE_CAP)
         assert out == pytest.approx(
             {apply_effect(s1, EffectPair(u.mask_of(["p2(a)"]), 0)): 0.5, s2: 0.5}
         )
@@ -107,7 +98,7 @@ class TestPushDistribution:
     def test_colliding_effects_match_predict_exactly(self):
         # An optimistic-style rule accepting every state whose two effects
         # lead from s to one successor. Summed in linear space 0.1 + 0.9 is
-        # exactly 1.0; merged in log space it is not.
+        # exactly 1.0, so push agrees with predict to the last bit.
         u = small_universe(3)
         s = u.encode(["p0(a)"])
         rule = ConditionalEffectRule(
@@ -118,9 +109,15 @@ class TestPushDistribution:
             ),
         )
         m = rule_model(u, (rule,))
-        got = push_distribution(StateDistribution.point(s), m, RULE_CAP)
-        assert got == StateDistribution.from_probs(predict(m, s, RULE_CAP))
-        assert got.log_mass == {u.encode(["p0(a)", "p1(a)"]): 0.0}
+        got = push_distribution({s: 1.0}, m, RULE_CAP)
+        assert got == predict(m, s, RULE_CAP) == {u.encode(["p0(a)", "p1(a)"]): 1.0}
+
+    def test_chained_masses_multiply_exactly(self):
+        u = small_universe(3)
+        s = u.encode([])
+        d = push_distribution({s: 1.0}, coin_model(u, "p0(a)", 0.5), RULE_CAP)
+        d = push_distribution(d, coin_model(u, "p1(a)", 0.25), RULE_CAP)
+        assert d[u.encode(["p0(a)", "p1(a)"])] == 0.125
 
     def test_matches_dense_oracle_on_random_instances(self):
         rng = Random("push-oracle-unit")
@@ -128,8 +125,8 @@ class TestPushDistribution:
         for _ in range(300):
             d = random_distribution(u, rng)
             rules = tuple(random_rule(u.num_atoms, rng) for _ in range(rng.randint(1, 3)))
-            got = push_distribution(d, rule_model(u, rules), RULE_CAP).probs()
-            want = dense_push_oracle(d.probs(), rules, u.num_atoms)
+            got = push_distribution(d, rule_model(u, rules), RULE_CAP)
+            want = dense_push_oracle(d, rules, u.num_atoms)
             assert set(got) == {s for s, p in want.items() if p > 0}
             for s, p in want.items():
                 assert abs(got.get(s, 0.0) - p) <= 1e-9
@@ -154,18 +151,27 @@ class TestDraw:
 class TestTvDistance:
     def test_identical_distributions(self):
         s = AbstractState(1, 3)
-        d = StateDistribution.from_probs({s: 0.4, AbstractState(2, 3): 0.6})
+        d = {s: 0.4, AbstractState(2, 3): 0.6}
         assert tv_distance(d, d) == 0.0
 
     def test_disjoint_supports(self):
-        d1 = StateDistribution.point(AbstractState(1, 3))
-        d2 = StateDistribution.point(AbstractState(2, 3))
+        d1 = {AbstractState(1, 3): 1.0}
+        d2 = {AbstractState(2, 3): 1.0}
         assert tv_distance(d1, d2) == 1.0
+
+    def test_zero_between_two_push_orders_of_one_distribution(self):
+        u = small_universe(3)
+        coins = [coin_model(u, f"p{i}(a)", p) for i, p in enumerate((0.5, 0.5, 0.125))]
+        d1 = d2 = {u.encode([]): 1.0}
+        for m1, m2 in zip(coins, reversed(coins)):
+            d1 = push_distribution(d1, m1, RULE_CAP)
+            d2 = push_distribution(d2, m2, RULE_CAP)
+        assert tv_distance(d1, d2) == 0.0
 
     def test_worked_example_exact(self):
         a, b = AbstractState(1, 3), AbstractState(2, 3)
-        d1 = StateDistribution.from_probs({a: 0.5, b: 0.5})
-        d2 = StateDistribution.from_probs({a: 1.0})
+        d1 = {a: 0.5, b: 0.5}
+        d2 = {a: 1.0}
         assert abs(tv_distance(d1, d2) - 0.5) <= 1e-12
 
     @given(st.integers(0, 100_000))
@@ -178,27 +184,27 @@ class TestTvDistance:
         assert tv_distance(d1, d3) <= tv_distance(d1, d2) + tv_distance(d2, d3) + 1e-12
         assert 0.0 <= tv_distance(d1, d2) <= 1.0 + 1e-12
         assert (tv_distance(d1, d2) <= 1e-12) == (
-            {s: round(p, 12) for s, p in d1.probs().items()}
-            == {s: round(p, 12) for s, p in d2.probs().items()}
+            {s: round(p, 12) for s, p in d1.items()}
+            == {s: round(p, 12) for s, p in d2.items()}
         )
 
 
 class TestSdReward:
     def test_identical_supports_zero(self):
         a, b = AbstractState(1, 3), AbstractState(2, 3)
-        d1 = StateDistribution.from_probs({a: 0.9, b: 0.1})
-        d2 = StateDistribution.from_probs({a: 0.2, b: 0.8})
+        d1 = {a: 0.9, b: 0.1}
+        d2 = {a: 0.2, b: 0.8}
         assert sd_reward(d1, d2) == 0.0
 
     def test_disjoint_supports_one(self):
-        d1 = StateDistribution.point(AbstractState(1, 3))
-        d2 = StateDistribution.point(AbstractState(2, 3))
+        d1 = {AbstractState(1, 3): 1.0}
+        d2 = {AbstractState(2, 3): 1.0}
         assert sd_reward(d1, d2) == 1.0
 
     def test_worked_example(self):
         a, b, c = (AbstractState(i, 3) for i in (1, 2, 4))
-        d1 = StateDistribution.from_probs({a: 0.5, b: 0.5})
-        d2 = StateDistribution.from_probs({b: 0.5, c: 0.5})
+        d1 = {a: 0.5, b: 0.5}
+        d2 = {b: 0.5, c: 0.5}
         assert abs(sd_reward(d1, d2) - 0.5) <= 1e-12
 
     @given(st.integers(0, 100_000))
@@ -207,4 +213,4 @@ class TestSdReward:
         rng = Random(seed)
         u = small_universe(4)
         d1, d2 = random_distribution(u, rng), random_distribution(u, rng)
-        assert (sd_reward(d1, d2) == 0.0) == (d1.support() == d2.support())
+        assert (sd_reward(d1, d2) == 0.0) == (d1.keys() == d2.keys())

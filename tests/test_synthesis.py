@@ -7,13 +7,7 @@ import pytest
 from caplearn import synthesis
 from caplearn.abstraction import AbstractState, Condition, LiteralConjunction, literal_of, satisfies
 from caplearn.dataset import EffectPair, Transition, TransitionDataset
-from caplearn.distributions import (
-    StateDistribution,
-    draw,
-    push_distribution,
-    sd_reward,
-    tv_distance,
-)
+from caplearn.distributions import draw, push_distribution, sd_reward, tv_distance
 from caplearn.envs import road_world, stochastic_blocks, vacuum_world
 from caplearn.evaluation import ground_truth_transitions, reachable_states
 from caplearn.learner import LearnerConfig, run
@@ -83,7 +77,7 @@ class TestRandomPolicyQuery:
 
 
 def _point(state):
-    return StateDistribution.point(state)
+    return {state: 1.0}
 
 
 def _withheld_vacuum_models(withhold_atoms=("has(robot,vacuum)", "charged(robot)")):
