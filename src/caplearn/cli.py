@@ -25,7 +25,7 @@ from .evaluation import (
     sampled_vd,
     write_csv,
 )
-from .learner import run as run_learner
+from .learner import VARIANTS, run as run_learner
 from .model import load_model, model_to_text
 
 EXIT_OK = 0
@@ -62,13 +62,13 @@ def cmd_learn(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _learned_unique_transitions(run_dir: Path) -> dict[int, int]:
-    """Query index -> the learner's unique-transition count, from runlog.jsonl."""
+def _query_records(run_dir: Path) -> list[dict]:
+    """The per-query records of the run's runlog.jsonl, in order; none if it is missing."""
     path = run_dir / "runlog.jsonl"
     if not path.is_file():
-        return {}
+        return []
     records = (json.loads(line) for line in path.read_text().splitlines() if line.strip())
-    return {r["index"]: r["unique_transitions"] for r in records if "index" in r}
+    return [r for r in records if "index" in r]
 
 
 def _query_index(snapshot: Path) -> int:
@@ -114,7 +114,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         theta=config.learner.theta, horizon=config.learner.horizon,
     )
 
-    uniques = _learned_unique_transitions(run_dir)
+    uniques = {r["index"]: r["unique_transitions"] for r in _query_records(run_dir)}
     rows = []
     wall0 = time.monotonic()
     for path in targets:
@@ -157,11 +157,11 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         print(path.read_text(), end="")
         return EXIT_OK
     if args.last_query is not None:
-        path = Path(args.last_query) / "last_query.json"
-        if not path.is_file():
+        records = _query_records(Path(args.last_query))
+        if not records:
             print(f"error: no last query under {args.last_query}", file=sys.stderr)
             return EXIT_RUNTIME
-        print(path.read_text(), end="")
+        print(json.dumps(records[-1]["policy"], indent=2, sort_keys=True))
         return EXIT_OK
     if args.ground_truth is not None:
         bundle = make_environment(args.ground_truth)
@@ -180,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     learn = sub.add_parser("learn", help="run the learning loop from a config file")
     learn.add_argument("--config", required=True, help="path to run-config JSON")
-    learn.add_argument("--variant", choices=["exact", "sampled", "random"])
+    learn.add_argument("--variant", choices=VARIANTS)
     learn.add_argument("--seed", type=int)
     learn.add_argument("--max-queries", type=int, dest="max_queries")
     learn.add_argument("--output", help="output directory (overrides config)")

@@ -47,6 +47,15 @@ class RunConfig:
 
 # Set from the run's top-level seed and from the command line, never by a section.
 _OUTSIDE_SECTION = ("seed", "progress")
+# The keys `RunConfig.to_json` writes, at the top level and under `environment`.
+_TOP_LEVEL = ("environment", "universe", "learner", "evaluation", "output_dir", "seed")
+_ENVIRONMENT = ("name", "params")
+
+
+def _reject_unknown(where: str, doc: dict, known: typing.Container[str]) -> None:
+    for key in doc:
+        if key not in known:
+            raise ConfigurationError(f"unknown {where} field {key!r}")
 
 
 def _section_schema(cls: type) -> dict[str, tuple[type, ...]]:
@@ -69,9 +78,8 @@ def _section_json(section: LearnerConfig | EvalConfig) -> dict:
 
 def _typed(section: str, data: dict, cls: type) -> dict:
     schema = _section_schema(cls)
+    _reject_unknown(section, data, schema)
     for key, value in data.items():
-        if key not in schema:
-            raise ConfigurationError(f"unknown {section} field {key!r}")
         if not isinstance(value, schema[key]) or isinstance(value, bool):
             raise ConfigurationError(f"{section}.{key} has wrong type: {value!r}")
     return data
@@ -80,9 +88,11 @@ def _typed(section: str, data: dict, cls: type) -> dict:
 def parse_config(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigurationError("config must be a JSON object")
+    _reject_unknown("top-level", doc, _TOP_LEVEL)
     env = doc.get("environment")
     if not isinstance(env, dict) or not isinstance(env.get("name"), str):
         raise ConfigurationError("config needs environment.name")
+    _reject_unknown("environment", env, _ENVIRONMENT)
     params = env.get("params", {})
     if not isinstance(params, dict):
         raise ConfigurationError("environment.params must be an object")

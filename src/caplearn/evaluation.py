@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
 from pathlib import Path
 from random import Random
@@ -211,24 +210,14 @@ class CheckpointRow:
     wall_seconds: float
 
 
-def write_csv(rows: Sequence[CheckpointRow], path: str | Path | io.TextIOBase) -> None:
-    header = [
-        "checkpoint",
-        "queries",
-        "unique_transitions",
-        "vd_sampled",
-        "vd_exact_if_available",
-        "wall_seconds",
-    ]
-    if isinstance(path, io.TextIOBase):
-        writer = csv.writer(path)
-        writer.writerow(header)
+def write_csv(rows: Sequence[CheckpointRow], path: str | Path) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["checkpoint", "queries", "unique_transitions", "vd_sampled",
+                         "vd_exact_if_available", "wall_seconds"])
         for r in rows:
             writer.writerow(
                 [r.checkpoint, r.queries,
                  "" if r.unique_transitions is None else r.unique_transitions, r.vd_sampled,
                  "" if r.vd_exact is None else r.vd_exact, r.wall_seconds]
             )
-        return
-    with open(path, "w", newline="") as fh:
-        write_csv(rows, fh)  # type: ignore[arg-type]

@@ -97,9 +97,9 @@ class QueryRecord:
     `source` says where the executed policy came from: `synthesized` (the
     search scored above 0), `fallback` (it did not, so a random sequence ran)
     or `random` (the random variant). `phases` maps each name in `PHASES` to
-    the seconds the query spent in it; `snapshot` covers writing the
-    snapshot and `last_query.json`. `rebuilt` counts the capabilities whose
-    rules the query's refit rebuilt rather than carried over, and
+    the seconds the query spent in it; `snapshot` covers only writing the
+    model snapshot. `rebuilt` counts the capabilities whose rules the query's
+    refit rebuilt rather than carried over, and
     `observed_states` the distinct transition source states recorded so far.
     """
 
@@ -126,20 +126,6 @@ class RunLog:
     stop_reason: str = ""
     capabilities: int = 0
     wall_seconds: float = 0.0
-
-    def to_jsonl(self) -> str:
-        lines = [json.dumps(asdict(r), sort_keys=True) for r in self.records]
-        lines.append(
-            json.dumps(
-                {
-                    "stop_reason": self.stop_reason,
-                    "capabilities": self.capabilities,
-                    "wall_seconds": self.wall_seconds,
-                },
-                sort_keys=True,
-            )
-        )
-        return "\n".join(lines) + "\n"
 
 
 def random_walk(simulator, steps: int, rng: Random) -> list:
@@ -263,7 +249,9 @@ def execute_query(
             plan = (None for _ in range(max_policy_steps))
         for planned in plan:
             if planned is None:
-                cap_name = query.policy.lookup(abstraction(simulator.current))
+                # The agent leaves the simulator where the last segment ended.
+                state = segments[-1][1][-1] if segments else abstraction(simulator.current)
+                cap_name = query.policy.lookup(state)
                 if cap_name is None:
                     break
             else:
@@ -343,6 +331,13 @@ def run(
         out_path.mkdir(parents=True, exist_ok=True)
         snap_dir = out_path / "snapshots"
         snap_dir.mkdir(exist_ok=True)
+        (out_path / "runlog.jsonl").write_text("")
+
+    def journal(doc: dict) -> None:
+        """Append one line to `runlog.jsonl`, closing the file so it survives a crash."""
+        if out_path is not None:
+            with open(out_path / "runlog.jsonl", "a") as fh:
+                fh.write(json.dumps(doc, sort_keys=True) + "\n")
 
     started = time.monotonic()
     bootstrap_steps = config.horizon if config.bootstrap_steps is None else config.bootstrap_steps
@@ -448,19 +443,14 @@ def run(
         novel_history.append(novel)
         marks.append(time.perf_counter())
 
-        policy_json = policy_to_json(query.policy, universe)
         snapshot_name = None
         if snap_dir is not None:
             snapshot_name = f"query_{query_idx:04d}.json"
             (snap_dir / snapshot_name).write_text(model_to_json(m_pess, indent=None))
-        if out_path is not None:
-            (out_path / "last_query.json").write_text(
-                json.dumps(policy_json, indent=2, sort_keys=True) + "\n"
-            )
         marks.append(time.perf_counter())
         record = QueryRecord(
             index=query_idx,
-            policy=policy_json,
+            policy=policy_to_json(query.policy, universe),
             initial_state=universe.atom_names(s0),
             novel=novel,
             unique_transitions=len(dataset),
@@ -476,6 +466,7 @@ def run(
             observed_states=dataset.observed_state_count(),
         )
         log.records.append(record)
+        journal(asdict(record))
         if config.progress:
             print(
                 f"query {query_idx:4d}  novel={novel:3d}  |D|={len(dataset):5d}  "
@@ -495,5 +486,6 @@ def run(
         (out_path / "final_model.json").write_text(model_to_json(m_pess))
         (out_path / "final_model.txt").write_text(model_to_text(m_pess))
         (out_path / "dataset.jsonl").write_text(dataset.to_jsonl(universe))
-        (out_path / "runlog.jsonl").write_text(log.to_jsonl())
+    journal({"stop_reason": log.stop_reason, "capabilities": log.capabilities,
+             "wall_seconds": log.wall_seconds})
     return m_pess, log

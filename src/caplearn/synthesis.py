@@ -25,6 +25,10 @@ from .abstraction import AbstractState, AtomUniverse
 from .distributions import push_distribution, tv_distance
 from .model import CapabilityModel, fires, predict
 
+# `synthesize_exact`'s random rollouts per new leaf, and children generated per node visit.
+EXACT_ROLLOUTS = 3
+EXPAND_PER_VISIT = 3
+
 
 def uct_score(q: float, log_n_parent: float, n_edge: int, kappa: float) -> float:
     """UCT score given log N(parent); an unvisited edge ranks above every visited one."""
@@ -124,8 +128,6 @@ def synthesize_exact(
     kappa: float,
     depth: int,
     rng: Random,
-    rollouts: int = 3,
-    expand_per_visit: int = 3,
 ) -> SynthesisResult:
     """MCTS over exact distribution pairs, rewarded by total-variation distance.
 
@@ -142,7 +144,7 @@ def synthesize_exact(
 
     def rollout_value(node: _DistNode, used_depth: int) -> float:
         total = 0.0
-        for _ in range(rollouts):
+        for _ in range(EXACT_ROLLOUTS):
             ret = node.reward
             dp, do = node.dist_p, node.dist_o
             for _ in range(depth - used_depth):
@@ -151,14 +153,14 @@ def synthesize_exact(
                 do = push_distribution(do, m_opt, cap)
                 ret += tv_distance(dp, do)
             total += ret
-        return total / rollouts
+        return total / EXACT_ROLLOUTS
 
     for _ in range(iterations):
         node = root
         path: list[tuple[_DistNode, str, _DistNode]] = []
         fresh = None
         while len(path) < depth:
-            for _ in range(expand_per_visit):
+            for _ in range(EXPAND_PER_VISIT):
                 if not node.untried:
                     break
                 cap = node.untried.pop(0)

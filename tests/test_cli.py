@@ -5,6 +5,9 @@ from pathlib import Path
 import pytest
 
 from caplearn.cli import main
+from caplearn.config import load_config
+from caplearn.envs import vacuum_world
+from caplearn.learner import run
 
 
 def _write_config(path: Path, **overrides) -> Path:
@@ -57,6 +60,16 @@ class TestLearn:
     def test_unknown_learner_field_exits_two(self, tmp_path):
         cfg = _write_config(tmp_path / "cfg.json", learner={"mcts": 5})
         assert main(["learn", "--config", str(cfg), "--quiet"]) == 2
+
+    @pytest.mark.parametrize(
+        "overrides,key",
+        [({"sed": 3}, "sed"), ({"learnr": {"variant": "bogus"}}, "learnr"),
+         ({"environment": {"name": "vacuum", "parms": {"x": 1}}}, "parms")],
+    )
+    def test_misspelt_key_exits_two(self, tmp_path, capsys, overrides, key):
+        cfg = _write_config(tmp_path / "cfg.json", **overrides)
+        assert main(["learn", "--config", str(cfg), "--quiet"]) == 2
+        assert repr(key) in capsys.readouterr().err
 
     def test_unknown_environment_exits_two(self, tmp_path):
         cfg = _write_config(tmp_path / "cfg.json", environment={"name": "minigrid", "params": {}})
@@ -199,8 +212,34 @@ class TestInspect:
         assert main(["learn", "--config", str(cfg), "--quiet"]) == 0
         capsys.readouterr()
         assert main(["inspect", "--last-query", str(tmp_path / "out")]) == 0
-        doc = json.loads(capsys.readouterr().out)
+        printed = capsys.readouterr().out
+        doc = json.loads(printed)
         assert doc["kind"] in ("state", "sequence")
+        lines = (tmp_path / "out" / "runlog.jsonl").read_text().splitlines()
+        last = json.loads(lines[-2])  # the closing summary follows the last record
+        assert printed == json.dumps(last["policy"], indent=2, sort_keys=True) + "\n"
+
+    def test_last_query_of_an_interrupted_run(self, tmp_path, capsys):
+        config = load_config(_write_config(tmp_path / "cfg.json"))
+        policies = []
+
+        def hook(idx, model, log, dataset):
+            policies.append(log.records[-1].policy)
+            if idx == 1:
+                raise RuntimeError("interrupted")
+
+        with pytest.raises(RuntimeError):
+            run(config.learner, vacuum_world(seed="11/env"), tmp_path / "out", hook)
+        capsys.readouterr()
+        assert main(["inspect", "--last-query", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().out == json.dumps(policies[-1], indent=2, sort_keys=True) + "\n"
+
+    def test_last_query_without_records_exits_one(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path / "cfg.json", learner={"max_queries": 0})
+        assert main(["learn", "--config", str(cfg), "--quiet"]) == 0
+        assert main(["inspect", "--last-query", str(tmp_path / "out")]) == 1
+        assert "no last query" in capsys.readouterr().err
+        assert main(["inspect", "--last-query", str(tmp_path / "missing")]) == 1
 
     def test_unknown_target_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -71,6 +71,22 @@ class TestFieldTypes:
             parse_config(_doc(section, **{field: 1}))
 
 
+class TestUnknownKeys:
+    """A misspelt key is refused by name rather than silently defaulted."""
+
+    @pytest.mark.parametrize(
+        "doc,where,key",
+        [({"environment": {"name": "vacuum"}, "sed": 3}, "top-level", "sed"),
+         ({"environment": {"name": "vacuum"}, "learnr": {"variant": "bogus"}}, "top-level", "learnr"),
+         ({"environment": {"name": "vacuum", "parms": {"x": 1}}}, "environment", "parms"),
+         ({"environment": {"name": "vacuum", "parms": {"x": 1}}, "sed": 3,
+           "learnr": {"variant": "bogus"}}, "top-level", "sed")],
+    )
+    def test_unknown_key_rejected(self, doc, where, key):
+        with pytest.raises(ConfigurationError, match=f"unknown {where} field '{key}'"):
+            parse_config(doc)
+
+
 class TestLearnerBounds:
     """Non-finite or out-of-range numbers in a config file are refused on load."""
 

@@ -10,9 +10,11 @@ import caplearn.learner as learner_module
 from caplearn.abstraction import ConfigurationError, LiteralConjunction, build_universe
 from caplearn.dataset import TransitionDataset, Transition
 from caplearn.envs import make_environment, vacuum_world
+from caplearn.evaluation import reachable_states
 from caplearn.learner import (
     PHASES,
     LearnerConfig,
+    RunResult,
     discover_capabilities,
     execute_query,
     random_walk,
@@ -205,6 +207,69 @@ class TestExecuteQuery:
         )
         assert all(r.error and "boom" in r.error for r in results)
 
+    @pytest.mark.parametrize("theta", [None, 2])
+    def test_state_policy_matches_re_abstracting_reference(self, theta):
+        def counted(calls, bundle):
+            def abstraction(x):
+                calls[0] += 1
+                return bundle.abstraction(x)
+            return abstraction
+
+        visited = []
+        for seed in range(3):
+            b = vacuum_world(seed=seed)
+            start = b.simulator.reset()
+            caps = dict(b.ground_truth.capabilities)
+            names = sorted(caps)
+            reach = sorted(
+                reachable_states(b.ground_truth, b.abstraction(start)), key=lambda s: s.bits
+            )
+
+            def pick(i, s):
+                # A capability that can change the state, so runs visit many states.
+                moving = [n for n in names if set(predict(b.ground_truth, s, n)) - {s}]
+                return moving[(i + seed) % len(moving)]
+
+            policy = StatePolicy.from_dict({s: pick(i, s) for i, s in enumerate(reach)})
+            query = Query(start, policy, 12)
+            got_calls, want_calls = [0], [0]
+            got_b, want_b = vacuum_world(seed=seed), vacuum_world(seed=seed)
+            got = execute_query(
+                got_b.agent, got_b.simulator, query, caps, counted(got_calls, got_b), theta, 100, 20
+            )
+            want = _reference_execute_state_policy(
+                want_b.agent, want_b.simulator, query, caps, counted(want_calls, want_b),
+                theta, 100, 20,
+            )
+            assert got == want
+            assert got_calls[0] < want_calls[0]
+            visited.append(max(len({x for _, states in r.segments for x in states}) for r in got))
+        assert min(visited) >= 5  # each query's runs pass through several states
+
+
+def _reference_execute_state_policy(agent, simulator, query, capabilities, abstraction,
+                                    theta, horizon, max_policy_steps):
+    """`execute_query` for a state policy, abstracting the simulator's state before every step."""
+    results = []
+    for _ in range(query.n):
+        simulator.revert(query.x0)
+        segments, steps, error = [], 0, None
+        for _ in range(max_policy_steps):
+            cap = capabilities.get(query.policy.lookup(abstraction(simulator.current)))
+            if cap is None:
+                break
+            try:
+                states, env_steps = run_capability(
+                    agent, simulator, cap.intent, abstraction, theta, horizon
+                )
+            except Exception as exc:  # noqa: BLE001
+                error = f"{type(exc).__name__}: {exc}"
+                break
+            segments.append((cap.name, states))
+            steps += env_steps
+        results.append(RunResult(segments, simulator.current, steps, error))
+    return results
+
 
 class TestSampleInitialState:
     def test_stale_outcomes_return_reset(self):
@@ -340,12 +405,34 @@ class TestRun:
         assert (tmp_path / "final_model.txt").is_file()
         assert (tmp_path / "dataset.jsonl").is_file()
         assert (tmp_path / "runlog.jsonl").is_file()
-        assert (tmp_path / "last_query.json").is_file()
+        assert not (tmp_path / "last_query.json").exists()
         snapshots = sorted((tmp_path / "snapshots").glob("query_*.json"))
         assert len(snapshots) == 3
         lines = (tmp_path / "runlog.jsonl").read_text().splitlines()
         assert len(lines) == 4  # three query records plus the closing summary
         assert json.loads(lines[0])["index"] == 0
+
+    def test_interrupted_run_keeps_every_record_in_the_runlog(self, tmp_path):
+        b = vacuum_world(seed="5/env")
+        seen = []
+
+        def hook(idx, model, log, dataset):
+            seen.append(json.dumps(asdict(log.records[-1]), sort_keys=True))
+            if idx == 3:
+                raise RuntimeError("interrupted")
+
+        with pytest.raises(RuntimeError, match="interrupted"):
+            run(self._config(), b, out_dir=tmp_path, checkpoint_hook=hook)
+        lines = (tmp_path / "runlog.jsonl").read_text().splitlines()
+        assert len(lines) == 4  # queries 0-3, and no closing summary
+        assert lines == seen
+        assert all("index" in json.loads(line) for line in lines)
+
+    def test_rerun_truncates_the_runlog(self, tmp_path):
+        run(self._config(max_queries=3), vacuum_world(seed="5/env"), out_dir=tmp_path)
+        run(self._config(max_queries=2), vacuum_world(seed="5/env"), out_dir=tmp_path)
+        lines = (tmp_path / "runlog.jsonl").read_text().splitlines()
+        assert [json.loads(line).get("index") for line in lines] == [0, 1, None]
 
     def test_snapshots_compact_final_model_indented(self, tmp_path):
         b = vacuum_world(seed="5/env")
