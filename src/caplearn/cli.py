@@ -116,9 +116,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     uniques = {r["index"]: r["unique_transitions"] for r in _query_records(run_dir)}
     rows = []
+    model = None
     wall0 = time.monotonic()
     for path in targets:
-        model = load_model(path, bundle.universe)
+        # Capabilities unchanged since the previous checkpoint carry over with
+        # their memos; only that checkpoint's model is held.
+        model = load_model(path, bundle.universe, previous=model)
         filtered = evaluation_filter(model)
         model_ds = model_replay(filtered, sequences, start, seed=config.seed)
         if path.name == "final_model.json":

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence, TypeVar
+import math
+from typing import Iterable, Mapping, Sequence, TypeVar
 
 from .abstraction import AbstractState
 from .model import CapabilityModel, predict
@@ -56,3 +57,19 @@ def draw(weighted: Sequence[tuple[T, float]], u: float) -> T:
         if u < acc:
             return item
     return weighted[-1][0]
+
+
+def cumulative(weights: Iterable[float]) -> list[float]:
+    """Running sums of the non-empty `weights`, the last raised to infinity.
+
+    `bisect_right(cumulative(ws), u)` is the index `draw` picks for `u` from
+    items weighted `ws`: the sums are accumulated in the same order, and a `u`
+    past the rounded total falls on the last item.
+    """
+    cum: list[float] = []
+    acc = 0.0
+    for w in weights:
+        acc += w
+        cum.append(acc)
+    cum[-1] = math.inf
+    return cum

@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import csv
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from random import Random
 from typing import Iterable, Mapping, Sequence
 
 from .abstraction import AbstractState, ConfigurationError
 from .dataset import Transition, TransitionDataset
-from .distributions import draw
+from .distributions import cumulative
 from .envs.base import EnvironmentBundle
 from .learner import run_capability
 from .model import Capability, CapabilityModel, predict
@@ -50,7 +52,7 @@ def generate_eval_dataset(
     dataset = TransitionDataset()
     sequences: list[list[str]] = []
     for _ in range(config.episodes):
-        bundle.simulator.reset()
+        s = bundle.abstraction(bundle.simulator.reset())
         seq = [rng.choice(names) for _ in range(rng.randint(config.min_len, config.max_len))]
         sequences.append(seq)
         for cap_name in seq:
@@ -61,8 +63,10 @@ def generate_eval_dataset(
                 bundle.abstraction,
                 theta,
                 horizon,
+                s,
             )
             dataset.record(states, cap_name)
+            s = states[-1]
     return dataset, sequences
 
 
@@ -75,36 +79,38 @@ def model_replay(
     """Replay capability sequences inside the model, open loop from `start`.
 
     Every step draws exactly one uniform from `Random(f"{seed}/replay")`,
-    whatever the model, and picks a successor in bit order. Each distinct
-    (state, capability) is looked up in the model once per call; later visits
-    reuse its successor list and add to its per-successor hit counts, which
-    become the returned dataset's counts.
+    whatever the model, and picks a successor in bit order as
+    `distributions.draw` would. Each distinct (state, capability) is looked
+    up in the model once per call; later visits reuse its successor list and
+    add to its per-successor hit counts, which become the returned dataset's
+    counts, in the order the pairs were first visited.
     """
-    rng = Random(f"{seed}/replay")
-    # (state bits, capability) -> (state, successors in bit order,
-    # (index, probability) pairs to draw from, hits per successor)
-    table: dict[
-        tuple[int, str],
-        tuple[AbstractState, list[AbstractState], list[tuple[int, float]], list[int]],
-    ] = {}
+    random = Random(f"{seed}/replay").random
+    # capability -> state bits -> (successors in bit order, their
+    # `cumulative` weights or None for a single successor, hits per successor)
+    tables: dict[str, dict[int, tuple[list[AbstractState], list[float] | None, list[int]]]] = {
+        name: {} for name in set(chain.from_iterable(sequences))
+    }
+    visits: list[tuple[AbstractState, str, list[AbstractState], list[int]]] = []
     for seq in sequences:
         s = start
         for cap_name in seq:
-            entry = table.get((s.bits, cap_name))
-            if entry is None:
+            table = tables[cap_name]
+            try:
+                successors, cum, hits = table[s.bits]
+            except KeyError:
                 ordered = sorted(predict(model, s, cap_name).items(), key=lambda kv: kv[0].bits)
-                entry = table[(s.bits, cap_name)] = (
-                    s,
-                    [s2 for s2, _ in ordered],
-                    [(i, p) for i, (_, p) in enumerate(ordered)],
-                    [0] * len(ordered),
-                )
-            _, successors, weighted, hits = entry
-            i = draw(weighted, rng.random())
+                successors = [s2 for s2, _ in ordered]
+                cum = cumulative(p for _, p in ordered) if len(ordered) > 1 else None
+                hits = [0] * len(ordered)
+                table[s.bits] = (successors, cum, hits)
+                visits.append((s, cap_name, successors, hits))
+            u = random()
+            i = 0 if cum is None else bisect_right(cum, u)
             hits[i] += 1
             s = successors[i]
     dataset = TransitionDataset()
-    for (_, cap_name), (s, successors, _, hits) in table.items():
+    for s, cap_name, successors, hits in visits:
         for s2, n in zip(successors, hits):
             if n:
                 dataset.add(Transition(s, cap_name, s2), n)
@@ -183,20 +189,24 @@ def exact_vd(
 
 
 def evaluation_filter(model: CapabilityModel) -> CapabilityModel:
-    """Drop rules that cannot achieve their capability's intent, then empty capabilities."""
+    """Drop rules that cannot achieve their capability's intent, then empty capabilities.
+
+    Each capability's filtered copy is made once and kept in its memo, so
+    models sharing a capability share the copy and its `predict` memo.
+    """
     kept: dict[str, Capability] = {}
     for name, cap in model.capabilities.items():
-        rules = tuple(
-            r
-            for r in cap.rules
-            if any(
-                eff.add & cap.intent.positives == cap.intent.positives
-                and eff.delete & cap.intent.negatives == cap.intent.negatives
-                for _, eff in r.effects
+        filtered = cap.memo.filtered
+        if filtered is None:
+            pos, neg = cap.intent
+            rules = tuple(
+                r
+                for r in cap.rules
+                if any(eff.add & pos == pos and eff.delete & neg == neg for _, eff in r.effects)
             )
-        )
-        if rules:
-            kept[name] = Capability(cap.name, cap.intent, rules)
+            filtered = cap.memo.filtered = Capability(cap.name, cap.intent, rules)
+        if filtered.rules:
+            kept[name] = filtered
     return CapabilityModel(model.universe, kept, model.flavor)
 
 

@@ -193,13 +193,16 @@ def run_capability(
     abstraction: AbstractionFn,
     theta: int | None,
     horizon: int,
+    start: AbstractState,
 ) -> tuple[list[AbstractState], int]:
-    """One capability attempt, abstracted once: its abstract states and env steps.
+    """One capability attempt from `simulator.current`: its abstract states and env steps.
 
-    Consecutive repeats are collapsed, and the sequence ends at the theta-th
-    distinct abstract state (`theta=None` keeps them all; theta=2 keeps one
-    abstract change). The first state is the abstraction of the start state.
-    At a cut the simulator is left at the cut's env state, so callers continue
+    `start` is the abstraction of `simulator.current`, which the caller
+    already holds (the previous attempt's last state, or its own start).
+    Every later state is abstracted once. Consecutive repeats are collapsed,
+    and the sequence ends at the theta-th distinct abstract state
+    (`theta=None` keeps them all; theta=2 keeps one abstract change). At a
+    cut the simulator is left at the cut's env state, so callers continue
     from exactly what was observed.
     """
     if theta is not None and theta < 1:
@@ -207,16 +210,16 @@ def run_capability(
     traj = agent.attempt(intent, simulator, simulator.current, horizon)
     if not traj:
         raise ValueError("trajectory must contain at least the start state")
-    states: list[AbstractState] = []
-    for idx, x in enumerate(traj):
-        s = abstraction(x)
-        if not states or s != states[-1]:
+    states = [start]
+    idx, last = 0, len(traj) - 1
+    while idx < last and len(states) != theta:
+        idx += 1
+        s = abstraction(traj[idx])
+        if s != states[-1]:
             states.append(s)
-            if len(states) == theta:
-                if idx < len(traj) - 1:
-                    simulator.revert(x)
-                return states, idx
-    return states, len(traj) - 1
+    if idx < last:
+        simulator.revert(traj[idx])
+    return states, idx
 
 
 def execute_query(
@@ -237,6 +240,7 @@ def execute_query(
     """
     if query.n < 1:
         raise ConfigurationError("query repetition count must be >= 1")
+    start = abstraction(query.x0)
     results: list[RunResult] = []
     for _ in range(query.n):
         simulator.revert(query.x0)
@@ -248,9 +252,9 @@ def execute_query(
         else:
             plan = (None for _ in range(max_policy_steps))
         for planned in plan:
+            # The agent leaves the simulator where the last segment ended.
+            state = segments[-1][1][-1] if segments else start
             if planned is None:
-                # The agent leaves the simulator where the last segment ended.
-                state = segments[-1][1][-1] if segments else abstraction(simulator.current)
                 cap_name = query.policy.lookup(state)
                 if cap_name is None:
                     break
@@ -261,7 +265,7 @@ def execute_query(
                 break
             try:
                 states, env_steps = run_capability(
-                    agent, simulator, cap.intent, abstraction, theta, horizon
+                    agent, simulator, cap.intent, abstraction, theta, horizon, state
                 )
             except Exception as exc:  # noqa: BLE001 - agent is untrusted
                 error = f"{type(exc).__name__}: {exc}"
@@ -273,8 +277,8 @@ def execute_query(
 
 
 def sample_initial_state(
-    outcomes: Sequence[tuple[object, int]],
-    previous_initial: tuple[object, int],
+    outcomes: Sequence[tuple[object, int, AbstractState]],
+    previous_initial: tuple[object, int, AbstractState],
     dataset: TransitionDataset,
     simulator,
     abstraction: AbstractionFn,
@@ -283,18 +287,20 @@ def sample_initial_state(
 ) -> tuple[object, int]:
     """Pick the next query's start from the previous query's outcome states.
 
-    Sampling weight is inversely proportional to how often a state has been
-    an observed transition source. The reset state always competes in the
-    pool, so saturated regions are eventually abandoned; outcomes that ended
-    beyond the step horizon fall back to reset outright.
+    Outcomes and the previous start come as `(env state, distance, abstract
+    state)`; only the reset state is abstracted here. Sampling weight is
+    inversely proportional to how often a state has been an observed
+    transition source. The reset state always competes in the pool, so
+    saturated regions are eventually abandoned; outcomes that ended beyond
+    the step horizon fall back to reset outright.
     """
     candidates: dict[AbstractState, tuple[object, int]] = {}
-    for env_state, distance in list(outcomes) + [previous_initial]:
+    for env_state, distance, state in [*outcomes, previous_initial]:
         if distance > horizon:
             continue
-        candidates.setdefault(abstraction(env_state), (env_state, distance))
+        candidates.setdefault(state, (env_state, distance))
 
-    prev_abs = abstraction(previous_initial[0])
+    prev_abs = previous_initial[2]
     if not candidates or set(candidates) == {prev_abs}:
         return simulator.reset(), 0
     reset_state = simulator.reset()
@@ -420,13 +426,18 @@ def run(
         novel = 0
         executions = 0
         failures = 0
-        outcomes: list[tuple[object, int]] = []
+        outcomes: list[tuple[object, int, AbstractState]] = []
         for res in results:
             for cap_name, states in res.segments:
                 _, is_new = dataset.record(states, cap_name)
                 novel += int(is_new)
             executions += len(res.segments)
-            outcomes.append((res.final_state, x_i[1] + res.env_steps))
+            if res.error is not None:
+                # The failed attempt may have moved the simulator.
+                final = abstraction(res.final_state)
+            else:
+                final = res.segments[-1][1][-1] if res.segments else s0
+            outcomes.append((res.final_state, x_i[1] + res.env_steps, final))
             failures += int(res.error is not None)
         discovered = discover_capabilities(
             [states for res in results for _, states in res.segments], universe
@@ -476,7 +487,7 @@ def run(
             checkpoint_hook(query_idx, m_pess, log, dataset)
 
         x_i = sample_initial_state(
-            outcomes, x_i, dataset, simulator, abstraction, config.horizon, init_rng
+            outcomes, (*x_i, s0), dataset, simulator, abstraction, config.horizon, init_rng
         )
         query_idx += 1
 

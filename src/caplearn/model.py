@@ -53,19 +53,24 @@ class ConditionalEffectRule:
 
 
 class _CapabilityMemo:
-    """Facts that depend only on one capability's rules, filled on first use.
+    """Facts that depend only on one capability, filled on first use.
 
     `predictions` and `fires` map a state to `predict`'s result and to
     whether some rule accepts it; `json` is `(universe, text)` of the
-    capability's compact `model_to_json` fragment.
+    capability's compact `model_to_json` fragment. `filtered` is the
+    capability keeping only the rules `evaluation.evaluation_filter` keeps.
+    `entry` is `(universe, parsed JSON entry)` for a capability that
+    `model_from_json` built, so a later load can tell it is unchanged.
     """
 
-    __slots__ = ("predictions", "fires", "json")
+    __slots__ = ("predictions", "fires", "json", "filtered", "entry")
 
     def __init__(self) -> None:
         self.predictions: dict[AbstractState, dict[AbstractState, float]] = {}
         self.fires: dict[AbstractState, bool] = {}
         self.json: tuple[AtomUniverse, str] | None = None
+        self.filtered: Capability | None = None
+        self.entry: tuple[AtomUniverse, dict] | None = None
 
 
 @dataclass(frozen=True)
@@ -404,13 +409,31 @@ def model_to_json(model: CapabilityModel, indent: int | None = 2) -> str:
     return text + "\n"
 
 
-def model_from_json(text: str, universe: AtomUniverse | None = None) -> CapabilityModel:
+def model_from_json(
+    text: str,
+    universe: AtomUniverse | None = None,
+    previous: CapabilityModel | None = None,
+) -> CapabilityModel:
+    """Parse a model written by `model_to_json`, over `universe` if given.
+
+    A capability of `previous` whose JSON entry equals this text's entry for
+    the same name, parsed over the same universe object, is returned as is
+    (rules and memo); every other capability is built afresh. Without
+    `universe` a new universe is parsed from the text, so nothing is reused.
+    """
     doc = json.loads(text)
     if universe is None:
         udoc = doc["universe"]
         universe = AtomUniverse(udoc["predicates"], udoc["objects"])
+    old = previous.capabilities if previous is not None else {}
     caps: dict[str, Capability] = {}
     for cdoc in doc["capabilities"]:
+        kept = old.get(cdoc["name"])
+        if kept is not None and kept.memo.entry is not None:
+            entry_universe, entry = kept.memo.entry
+            if entry_universe is universe and entry == cdoc:
+                caps[kept.name] = kept
+                continue
         intent = LiteralConjunction(
             universe.mask_of(cdoc["intent"]["pos"]), universe.mask_of(cdoc["intent"]["neg"])
         )
@@ -427,12 +450,18 @@ def model_from_json(text: str, universe: AtomUniverse | None = None) -> Capabili
             )
             for r in cdoc["rules"]
         )
-        caps[cdoc["name"]] = Capability(cdoc["name"], intent, rules)
+        cap = caps[cdoc["name"]] = Capability(cdoc["name"], intent, rules)
+        cap.memo.entry = (universe, cdoc)
     return CapabilityModel(universe, caps, doc.get("flavor", "ground-truth"))
 
 
-def load_model(path: str | Path, universe: AtomUniverse | None = None) -> CapabilityModel:
-    return model_from_json(Path(path).read_text(), universe)
+def load_model(
+    path: str | Path,
+    universe: AtomUniverse | None = None,
+    previous: CapabilityModel | None = None,
+) -> CapabilityModel:
+    """`model_from_json` of the file at `path`."""
+    return model_from_json(Path(path).read_text(), universe, previous)
 
 
 def _effect_string(e: EffectPair, universe: AtomUniverse) -> str:

@@ -22,7 +22,7 @@ from random import Random
 from typing import Mapping, Sequence
 
 from .abstraction import AbstractState, AtomUniverse
-from .distributions import push_distribution, tv_distance
+from .distributions import cumulative, push_distribution, tv_distance
 from .model import CapabilityModel, fires, predict
 
 # `synthesize_exact`'s random rollouts per new leaf, and children generated per node visit.
@@ -216,10 +216,9 @@ class _StateTable:
     """Per-call facts about one abstract state: applicable capabilities and steps.
 
     `steps[i]`, built on the first step taken with `caps[i]`, holds in
-    successor bit order the cumulative mixture weights, the last raised to
-    infinity so that `bisect_right(cum, u)` is the successor
-    `distributions.draw` picks for `u`, and `(successor table, reward)`
-    pairs. The owning call clears `steps` on return, which breaks the cycles
+    successor bit order the `distributions.cumulative` mixture weights, so
+    that `bisect_right(cum, u)` is the successor `distributions.draw` picks
+    for `u`, and `(successor table, reward)` pairs. The owning call clears `steps` on return, which breaks the cycles
     between tables. A rollout draws `getrandbits(bits_k)` until the value is
     below `len(caps)`, which is how `randrange(len(caps))` consumes the RNG
     on CPython 3.10 to 3.13.
@@ -316,12 +315,7 @@ def synthesize_sampled(
         for s2, p in p2.items():
             mix[s2] = mix.get(s2, 0.0) + 0.5 * p
         ordered = sorted(mix.items(), key=lambda kv: kv[0].bits)
-        cum: list[float] = []
-        acc = 0.0
-        for _, w in ordered:
-            acc += w
-            cum.append(acc)
-        cum[-1] = math.inf
+        cum = cumulative(w for _, w in ordered)
         outs = [(table_of(s2), 1.0 if (s2 in p1) != (s2 in p2) else 0.0) for s2, _ in ordered]
         step = table.steps[i] = (cum, outs)
         return step

@@ -190,7 +190,8 @@ class TestCriterion4CleanRuleFidelity:
         for _ in range(2000):
             bundle.simulator.revert(start_atoms)
             states, _ = run_capability(
-                bundle.agent, bundle.simulator, intent, bundle.abstraction, None, 100
+                bundle.agent, bundle.simulator, intent, bundle.abstraction, None, 100,
+                bundle.abstraction(start_atoms),
             )
             ds.record(states, "achieve__clean(l1)")
         caps = [bundle.ground_truth.capabilities["achieve__clean(l1)"]]

@@ -5,9 +5,19 @@ from pathlib import Path
 import pytest
 
 from caplearn.cli import main
-from caplearn.config import load_config
+from caplearn.config import load_config, make_bundle
 from caplearn.envs import vacuum_world
+from caplearn.evaluation import (
+    evaluation_filter,
+    exact_vd,
+    generate_eval_dataset,
+    ground_truth_transitions,
+    model_replay,
+    reachable_states,
+    sampled_vd,
+)
 from caplearn.learner import run
+from caplearn.model import Capability, CapabilityModel, load_model
 
 
 def _write_config(path: Path, **overrides) -> Path:
@@ -32,6 +42,19 @@ def _write_config(path: Path, **overrides) -> Path:
             doc[key] = value
     path.write_text(json.dumps(doc))
     return path
+
+
+def _intent_achieving_rules(model: CapabilityModel) -> CapabilityModel:
+    """`evaluation_filter` written out, with no memo: each capability's rules
+    with an effect that achieves its intent, and no capability left empty."""
+    caps = {}
+    for name, cap in model.capabilities.items():
+        pos, neg = cap.intent.positives, cap.intent.negatives
+        rules = tuple(r for r in cap.rules if any(
+            e.add & pos == pos and e.delete & neg == neg for _, e in r.effects))
+        if rules:
+            caps[name] = Capability(name, cap.intent, rules)
+    return CapabilityModel(model.universe, caps, model.flavor)
 
 
 class TestLearn:
@@ -166,6 +189,56 @@ class TestEvaluate:
         assert [r["checkpoint"] for r in last_rows] == ["final_model.json"]
         for column in ("vd_sampled", "vd_exact_if_available"):
             assert last_rows[0][column] == full_rows[-1][column]
+
+    def test_every_row_equals_its_checkpoint_evaluated_alone(self, tmp_path):
+        """Capabilities carried from checkpoint to checkpoint change no VD value."""
+        cfg = _write_config(
+            tmp_path / "cfg.json",
+            environment={"name": "roads", "params": {}},
+            learner={"max_queries": 24, "runs_per_query": 10},
+            evaluation={"episodes": 150, "min_len": 10, "max_len": 30},
+            seed=0,
+        )
+        assert main(["learn", "--config", str(cfg), "--quiet"]) == 0
+        out = tmp_path / "out"
+        assert main(["evaluate", str(out), "--quiet"]) == 0
+        with open(out / "evaluation.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        paths = [out / r["checkpoint"] if r["checkpoint"] == "final_model.json"
+                 else out / "snapshots" / r["checkpoint"] for r in rows]
+        assert len(paths) == 25
+
+        config = load_config(out / "config.json")
+        bundle = make_bundle(config)
+        truth = bundle.ground_truth
+        start = bundle.abstraction(bundle.simulator.reset())
+        transitions = ground_truth_transitions(
+            truth, sorted(reachable_states(truth, start), key=lambda s: s.bits)
+        )
+        agent_ds, sequences = generate_eval_dataset(
+            bundle, dict(truth.capabilities), config.evaluation,
+            theta=config.learner.theta, horizon=config.learner.horizon,
+        )
+        # The run both carries capabilities over and rebuilds changed ones.
+        carried = rebuilt = 0
+        previous = None
+        for path in paths:
+            model = load_model(path, bundle.universe, previous=previous)
+            for name, cap in model.capabilities.items():
+                if previous is not None and cap is previous.capabilities.get(name):
+                    carried += 1
+                else:
+                    rebuilt += 1
+            previous = model
+        assert carried > 0 and rebuilt > len(model.capabilities)
+
+        for row, path in zip(rows, paths):
+            model = load_model(path, bundle.universe)
+            filtered = _intent_achieving_rules(model)
+            assert evaluation_filter(model).capabilities == filtered.capabilities
+            model_ds = model_replay(filtered, sequences, start, seed=config.seed)
+            assert float(row["vd_sampled"]) == sampled_vd(agent_ds, model_ds), row["checkpoint"]
+            assert float(row["vd_exact_if_available"]) == exact_vd(model, truth, transitions)
 
     def test_empty_run_dir_exits_one(self, tmp_path):
         empty = tmp_path / "empty"

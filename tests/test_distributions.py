@@ -1,3 +1,5 @@
+import math
+from bisect import bisect_right
 from random import Random
 
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 
 from caplearn.abstraction import AbstractState, Condition, LiteralConjunction, satisfies
 from caplearn.dataset import EffectPair
-from caplearn.distributions import draw, push_distribution, sd_reward, tv_distance
+from caplearn.distributions import cumulative, draw, push_distribution, sd_reward, tv_distance
 from caplearn.model import ConditionalEffectRule, apply_effect, predict
 from .conftest import RULE_CAP, random_rule, random_state, rule_model, small_universe
 
@@ -146,6 +148,40 @@ class TestDraw:
     def test_weights_are_not_renormalized(self):
         assert draw([("a", 2), ("b", 1)], 1.5) == "a"
         assert draw([("a", 2), ("b", 1)], 2.5) == "b"
+
+
+class TestCumulative:
+    """`bisect_right(cumulative(ws), u)` picks the index `draw` picks for `u`."""
+
+    @staticmethod
+    def _both(weights, u):
+        return bisect_right(cumulative(weights), u), draw(list(enumerate(weights)), u)
+
+    def test_matches_draw_on_random_weight_lists(self):
+        rng = Random("cumulative")
+        for _ in range(400):
+            raw = [rng.choice([0.0, rng.random(), rng.random()]) for _ in range(rng.randint(1, 9))]
+            raw[-1] = raw[-1] or 0.5
+            total = sum(raw)
+            weights = [w / total for w in raw]  # sums round to just below, at or above 1.0
+            acc = sum(weights)
+            us = [rng.random() for _ in range(25)]
+            us += [0.0, acc, math.nextafter(acc, 0.0), math.nextafter(1.0, 0.0)]
+            us += [math.fsum(weights[: k + 1]) for k in range(len(weights))]
+            for u in us:
+                got, want = self._both(weights, u)
+                assert got == want, (weights, u)
+
+    def test_total_below_one_picks_the_last_item(self):
+        weights = [0.1] * 10
+        total = sum(weights)
+        assert total < 1.0
+        for u in (math.nextafter(total, 0.0), total, math.nextafter(1.0, 0.0)):
+            assert self._both(weights, u) == (9, 9)
+
+    def test_last_entry_is_infinite(self):
+        assert cumulative([0.25, 0.5, 0.25]) == [0.25, 0.75, math.inf]
+        assert cumulative([1.0]) == [math.inf]
 
 
 class TestTvDistance:

@@ -22,7 +22,7 @@ from caplearn.evaluation import (
     reachable_states,
     sampled_vd,
 )
-from caplearn.learner import LearnerConfig, run
+from caplearn.learner import LearnerConfig, run, run_capability
 from caplearn.model import (
     Capability,
     CapabilityModel,
@@ -177,6 +177,19 @@ class TestModelReplayTable:
         want = _per_step_replay(model, sequences, start, seed)
         assert got.counts == want.counts
 
+    @pytest.mark.parametrize("which", ["truth", "learned"])
+    def test_counts_in_first_visit_order(self, roads_replay_case, which):
+        """Transitions come grouped by (state, capability) in first-visit order,
+        each group's successors in bit order."""
+        start, sequences, models = roads_replay_case
+        got = model_replay(models[which], sequences, start, seed=5)
+        rank: dict = {}
+        for t in _per_step_replay(models[which], sequences, start, 5).counts:
+            rank.setdefault((t.s, t.c), len(rank))
+        assert list(got.counts) == sorted(
+            got.counts, key=lambda t: (rank[(t.s, t.c)], t.s_next.bits)
+        )
+
     def test_learned_model_has_stochastic_drive_rules(self, roads_replay_case):
         start, _, models = roads_replay_case
         learned, truth = models["learned"], models["truth"]
@@ -326,6 +339,26 @@ class TestGenerateEvalDataset:
         _, seq2 = generate_eval_dataset(b2, caps, cfg)
         assert seq1 == seq2
         assert all(2 <= len(s) <= 4 for s in seq1)
+
+    @pytest.mark.parametrize("theta", [None, 2])
+    def test_dataset_matches_re_abstracting_reference(self, theta):
+        """Each attempt starts from the state the previous one ended in, as
+        abstracting the simulator's state before every attempt would give."""
+        got_b, want_b = road_world(seed=4), road_world(seed=4)
+        caps = dict(got_b.ground_truth.capabilities)
+        cfg = EvalConfig(episodes=40, seed=3)
+        got, sequences = generate_eval_dataset(got_b, caps, cfg, theta=theta)
+        want = TransitionDataset()
+        for seq in sequences:
+            want_b.simulator.reset()
+            for cap_name in seq:
+                states, _ = run_capability(
+                    want_b.agent, want_b.simulator, caps[cap_name].intent, want_b.abstraction,
+                    theta, 100, want_b.abstraction(want_b.simulator.current),
+                )
+                want.record(states, cap_name)
+        assert got.counts == want.counts
+        assert len({t.s for t in got.counts}) >= 10
 
     def test_single_capability_episodes(self):
         b = vacuum_world(seed="single")

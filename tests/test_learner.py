@@ -106,7 +106,9 @@ class TestRunCapability:
     def run(self, traj, theta):
         sim = StubSimulator(traj[0] if traj else set())
         intent = LiteralConjunction(self.u.mask_of(["p(a)"]), 0)
-        states, steps = run_capability(ScriptedAgent(traj), sim, intent, self.u.encode, theta, 100)
+        states, steps = run_capability(
+            ScriptedAgent(traj), sim, intent, self.u.encode, theta, 100, self.u.encode(sim.current)
+        )
         return states, steps, sim.current
 
     def test_constant_trajectory_collapses(self):
@@ -126,6 +128,23 @@ class TestRunCapability:
         assert len(states) == 3
         assert steps == 2
         assert current == {"q(a)"}
+
+    @pytest.mark.parametrize("theta, abstracted", [(None, 3), (2, 2), (1, 0)])
+    def test_start_is_not_abstracted_again(self, theta, abstracted):
+        traj = [set(), set(), {"p(a)"}, {"q(a)"}]
+        calls = []
+
+        def abstraction(x):
+            calls.append(x)
+            return self.u.encode(x)
+
+        sim = StubSimulator(traj[0])
+        intent = LiteralConjunction(self.u.mask_of(["p(a)"]), 0)
+        states, _ = run_capability(
+            ScriptedAgent(traj), sim, intent, abstraction, theta, 100, self.u.encode(traj[0])
+        )
+        assert calls == traj[1 : 1 + abstracted]
+        assert states == [self.u.encode(x) for x in ([], ["p(a)"], ["q(a)"])][: theta or 3]
 
     def test_empty_trajectory_rejected(self):
         with pytest.raises(ValueError):
@@ -260,7 +279,8 @@ def _reference_execute_state_policy(agent, simulator, query, capabilities, abstr
                 break
             try:
                 states, env_steps = run_capability(
-                    agent, simulator, cap.intent, abstraction, theta, horizon
+                    agent, simulator, cap.intent, abstraction, theta, horizon,
+                    abstraction(simulator.current),
                 )
             except Exception as exc:  # noqa: BLE001
                 error = f"{type(exc).__name__}: {exc}"
@@ -277,7 +297,8 @@ class TestSampleInitialState:
         start = b.simulator.reset()
         ds = TransitionDataset()
         chosen = sample_initial_state(
-            [(start, 3)], (start, 3), ds, b.simulator, b.abstraction, 100, Random(0)
+            [(start, 3, b.abstraction(start))], (start, 3, b.abstraction(start)), ds,
+            b.simulator, b.abstraction, 100, Random(0),
         )
         assert chosen == (b.simulator.reset(), 0)
 
@@ -286,7 +307,8 @@ class TestSampleInitialState:
         start = b.simulator.reset()
         far = frozenset({"has(robot,vacuum)"})
         chosen = sample_initial_state(
-            [(far, 500)], (start, 490), ds := TransitionDataset(), b.simulator,
+            [(far, 500, b.abstraction(far))], (start, 490, b.abstraction(start)),
+            ds := TransitionDataset(), b.simulator,
             b.abstraction, 100, Random(0),
         )
         assert chosen == (b.simulator.reset(), 0)
@@ -307,7 +329,8 @@ class TestSampleInitialState:
         counts = Counter()
         for _ in range(12_000):
             chosen, _ = sample_initial_state(
-                [(s1, 1), (s2, 1)], (start, 0), ds, b.simulator, b.abstraction, 100, rng
+                [(s1, 1, b.abstraction(s1)), (s2, 1, a2)], (start, 0, b.abstraction(start)),
+                ds, b.simulator, b.abstraction, 100, rng,
             )
             counts[chosen] += 1
         assert counts[s1] / 12_000 == pytest.approx(5 / 11, abs=0.02)
@@ -328,7 +351,8 @@ class TestSampleInitialState:
         n = 20_000
         for _ in range(n):
             chosen, _ = sample_initial_state(
-                [(s1, 1), (s2, 1)], (s1, 1), ds, b.simulator, b.abstraction, 100, rng
+                [(s1, 1, b.abstraction(s1)), (s2, 1, a2)], (s1, 1, b.abstraction(s1)),
+                ds, b.simulator, b.abstraction, 100, rng,
             )
             counts[chosen] += 1
         # weights: s1 -> 10, s2 -> 6, reset -> 1 (n_max=9): check s1:s2 ratio 5:3
@@ -355,6 +379,35 @@ class TestRun:
         assert log.records == []
         assert all(cap.rules == () for cap in model.capabilities.values())
         assert model.capabilities  # discovery itself ran
+
+    def test_outcome_states_are_their_env_states_abstracted(self, monkeypatch):
+        """An attempt that moves the simulator and then raises still hands the
+        next-start sampler the abstraction of the env state the run ended in."""
+        b = vacuum_world(seed="5/env")
+        agent, attempts = b.agent, [0]
+
+        class MovingFlakyAgent:
+            def attempt(self, intent, simulator, start, horizon):
+                attempts[0] += 1
+                traj = agent.attempt(intent, simulator, start, horizon)
+                if attempts[0] % 7 == 0 and len(traj) > 1:
+                    raise RuntimeError("moved, then failed")
+                return traj
+
+        b.agent = MovingFlakyAgent()
+        sample = learner_module.sample_initial_state
+        checked = []
+
+        def checked_sample(outcomes, previous_initial, *args):
+            for env_state, _, state in [*outcomes, previous_initial]:
+                assert state == b.abstraction(env_state)
+            checked.append(len(outcomes))
+            return sample(outcomes, previous_initial, *args)
+
+        monkeypatch.setattr(learner_module, "sample_initial_state", checked_sample)
+        _, log = run(self._config(), b)
+        assert sum(r.failures for r in log.records) > 0
+        assert len(checked) == len(log.records)
 
     def test_unique_transitions_monotone(self):
         b = vacuum_world(seed="5/env")

@@ -1,6 +1,9 @@
+import copy
 import dataclasses
+import json
 from random import Random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +24,7 @@ from caplearn.model import (
     entailed_successors,
     equivalent,
     fires,
+    load_model,
     model_from_json,
     model_to_json,
     model_to_text,
@@ -475,3 +479,88 @@ class TestSerialization:
         assert "Condition:" in text
         assert "Effects:" in text
         assert "0.5000" in text
+
+
+class TestIncrementalLoad:
+    """`model_from_json(..., previous=m)` keeps m's capability objects for unchanged entries."""
+
+    TARGET = "achieve__clean(l1)"
+
+    def setup_method(self):
+        from caplearn.envs import vacuum_world
+
+        truth = vacuum_world(seed=1).ground_truth
+        self.universe = truth.universe
+        self.doc = json.loads(model_to_json(truth))
+
+    def _load(self, doc, previous=None, universe=None):
+        return model_from_json(json.dumps(doc), universe or self.universe, previous)
+
+    def _entry(self, doc, name):
+        return next(c for c in doc["capabilities"] if c["name"] == name)
+
+    def test_unchanged_entries_give_the_same_objects(self, tmp_path):
+        first = self._load(self.doc)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(self.doc))
+        second = load_model(path, self.universe, previous=first)
+        assert second.capabilities.keys() == first.capabilities.keys()
+        assert all(second.capabilities[n] is cap for n, cap in first.capabilities.items())
+
+    def test_compact_and_indented_text_of_one_model_share_objects(self):
+        first = self._load(self.doc)
+        text = model_to_json(first, indent=None)
+        second = model_from_json(text, self.universe, first)
+        assert all(second.capabilities[n] is cap for n, cap in first.capabilities.items())
+
+    @pytest.mark.parametrize("change", ["effect_probability", "condition_clause", "intent"])
+    def test_changed_entry_is_rebuilt(self, change):
+        changed = copy.deepcopy(self.doc)
+        entry = self._entry(changed, self.TARGET)
+        if change == "effect_probability":
+            effects = entry["rules"][0]["effects"]
+            assert [e["p"] for e in effects] == [0.5, 0.25, 0.25]
+            effects[0]["p"], effects[1]["p"] = 0.25, 0.5
+        elif change == "condition_clause":
+            clauses = entry["rules"][0]["condition"]["clauses"]
+            assert len(clauses) == 2
+            del clauses[1]
+        else:
+            entry["intent"] = {"pos": ["clean(l2)"], "neg": []}
+        first = self._load(self.doc)
+        second = self._load(changed, previous=first)
+        fresh = self._load(changed)
+        for name, cap in second.capabilities.items():
+            assert cap == fresh.capabilities[name]
+            assert (cap is first.capabilities[name]) == (name != self.TARGET)
+        assert second.capabilities[self.TARGET] != first.capabilities[self.TARGET]
+
+    def test_added_capability_is_built_and_the_rest_kept(self):
+        fewer = copy.deepcopy(self.doc)
+        fewer["capabilities"] = [c for c in fewer["capabilities"] if c["name"] != self.TARGET]
+        first = self._load(fewer)
+        second = self._load(self.doc, previous=first)
+        assert second.capabilities[self.TARGET] == self._load(self.doc).capabilities[self.TARGET]
+        assert all(second.capabilities[n] is cap for n, cap in first.capabilities.items())
+
+    def test_removed_capability_is_dropped_and_the_rest_kept(self):
+        fewer = copy.deepcopy(self.doc)
+        fewer["capabilities"] = [c for c in fewer["capabilities"] if c["name"] != self.TARGET]
+        first = self._load(self.doc)
+        second = self._load(fewer, previous=first)
+        assert self.TARGET not in second.capabilities
+        assert len(second.capabilities) == len(first.capabilities) - 1
+        assert all(cap is first.capabilities[n] for n, cap in second.capabilities.items())
+
+    def test_other_universe_reuses_nothing(self):
+        from caplearn.envs import vacuum_world
+
+        first = self._load(self.doc)
+        other = vacuum_world(seed=1).universe
+        assert other is not self.universe
+        for second in (
+            self._load(self.doc, previous=first, universe=other),
+            model_from_json(json.dumps(self.doc), None, first),
+        ):
+            assert second.capabilities == first.capabilities
+            assert not any(second.capabilities[n] is cap for n, cap in first.capabilities.items())
