@@ -14,7 +14,7 @@ from .abstraction import (
     satisfies,
 )
 from .dataset import EffectPair, Transition, TransitionDataset, effects_of
-from .distributions import push_distribution, sd_reward, tv_distance
+from .distributions import push_distribution, tv_distance
 from .evaluation import (
     EvalConfig,
     evaluation_filter,

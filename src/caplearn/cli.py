@@ -44,7 +44,6 @@ def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> None:
         config.learner.max_queries = args.max_queries
     if args.output is not None:
         config.output_dir = args.output
-    config.learner.progress = not args.quiet
     config.learner.validate()
 
 
@@ -55,7 +54,13 @@ def cmd_learn(args: argparse.Namespace) -> int:
     out_dir = config.resolved_output_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.json").write_text(config.to_json())
-    model, log = run_learner(config.learner, bundle, out_dir)
+
+    def print_progress(index, model, log, dataset) -> None:
+        r = log.records[-1]
+        print(f"query {r.index:4d}  novel={r.novel:3d}  |D|={r.unique_transitions:5d}  "
+              f"elapsed={r.elapsed:.2f}s")
+
+    model, log = run_learner(config.learner, bundle, out_dir, None if args.quiet else print_progress)
     if not args.quiet:
         print(f"stopped: {log.stop_reason} after {len(log.records)} queries "
               f"({log.wall_seconds:.1f}s); model written to {out_dir / 'final_model.json'}")

@@ -45,8 +45,6 @@ class RunConfig:
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-# Set from the run's top-level seed and from the command line, never by a section.
-_OUTSIDE_SECTION = ("seed", "progress")
 # The keys `RunConfig.to_json` writes, at the top level and under `environment`.
 _TOP_LEVEL = ("environment", "universe", "learner", "evaluation", "output_dir", "seed")
 _ENVIRONMENT = ("name", "params")
@@ -65,7 +63,7 @@ def _section_schema(cls: type) -> dict[str, tuple[type, ...]]:
     """
     schema = {}
     for name, hint in typing.get_type_hints(cls).items():
-        if name in _OUTSIDE_SECTION:
+        if name == "seed":  # set from the run's top-level seed, never by a section
             continue
         types = typing.get_args(hint) or (hint,)
         schema[name] = types + (int,) if float in types else types

@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, Sequence, TypeVar
+from typing import Iterable, Mapping
 
 from .abstraction import AbstractState
 from .model import CapabilityModel, predict
-
-T = TypeVar("T")
 
 
 def push_distribution(
@@ -36,35 +34,13 @@ def tv_distance(d1: Mapping[AbstractState, float], d2: Mapping[AbstractState, fl
     return 0.5 * total
 
 
-def sd_reward(d1: Mapping[AbstractState, float], d2: Mapping[AbstractState, float]) -> float:
-    """Half-mixture mass on the symmetric difference of the two supports."""
-    total = 0.0
-    for s in d1.keys() ^ d2.keys():
-        total += 0.5 * d1.get(s, 0.0) + 0.5 * d2.get(s, 0.0)
-    return total
-
-
-def draw(weighted: Sequence[tuple[T, float]], u: float) -> T:
-    """Inverse-CDF categorical draw: the first item whose cumulative weight exceeds `u`.
-
-    Weights are summed as given, never renormalized, so callers scale `u` to
-    their total; when rounding leaves `u` past the last cumulative weight, the
-    last item is returned.
-    """
-    acc = 0.0
-    for item, w in weighted:
-        acc += w
-        if u < acc:
-            return item
-    return weighted[-1][0]
-
-
 def cumulative(weights: Iterable[float]) -> list[float]:
     """Running sums of the non-empty `weights`, the last raised to infinity.
 
-    `bisect_right(cumulative(ws), u)` is the index `draw` picks for `u` from
-    items weighted `ws`: the sums are accumulated in the same order, and a `u`
-    past the rounded total falls on the last item.
+    `bisect_right(cumulative(ws), u)` is the inverse-CDF categorical pick for
+    `u` from items weighted `ws`: the first index whose running sum exceeds
+    `u`. Weights are summed as given, never renormalized, so callers scale
+    `u` to their total; a `u` past the rounded total falls on the last item.
     """
     cum: list[float] = []
     acc = 0.0

@@ -11,6 +11,7 @@ actions (`TableAgent.ground_truth`), so the dynamics are written once.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from random import Random
 from typing import Callable, Mapping, Sequence
@@ -24,7 +25,7 @@ from ..abstraction import (
     literal_string,
 )
 from ..dataset import EffectPair
-from ..distributions import draw
+from ..distributions import cumulative
 from ..model import Capability, CapabilityModel, ConditionalEffectRule, capability_name, make_intent
 
 EnvState = frozenset
@@ -66,7 +67,7 @@ class AtomSimulator:
         self.actions: dict[str, ActionDef] = {a.name: a for a in sorted(actions, key=lambda a: a.name)}
         if len(self.actions) != len(actions):
             raise ValueError("duplicate action names")
-        self._weighted = {n: tuple((o, o.prob) for o in a.outcomes) for n, a in self.actions.items()}
+        self._cumulative = {n: cumulative(o.prob for o in a.outcomes) for n, a in self.actions.items()}
         self._rng = Random(f"{seed}/sim")
         self._state = self._reset_state
 
@@ -95,7 +96,7 @@ class AtomSimulator:
         adef = self.actions[action]
         if not adef.precondition.accepts_bits(self.universe.encode(self._state).bits):
             return self._state
-        chosen = draw(self._weighted[action], self._rng.random())
+        chosen = adef.outcomes[bisect_right(self._cumulative[action], self._rng.random())]
         self._state = frozenset(self._state - chosen.delete | chosen.add)
         return self._state
 

@@ -14,8 +14,9 @@ from .abstraction import AbstractState, ConfigurationError
 from .dataset import Transition, TransitionDataset
 from .distributions import cumulative
 from .envs.base import EnvironmentBundle
-from .learner import run_capability
+from .learner import execute_query
 from .model import Capability, CapabilityModel, predict
+from .synthesis import Query, SequencePolicy
 
 
 @dataclass
@@ -41,8 +42,9 @@ def generate_eval_dataset(
 ) -> tuple[TransitionDataset, list[list[str]]]:
     """Drive the agent through uniform-random capability sequences from reset.
 
-    Returns the observed transitions and the exact sequences used, so a model
-    can replay them.
+    Each episode is one run of `learner.execute_query` on its sequence; an
+    episode whose agent raised raises here. Returns the observed transitions
+    and the exact sequences used, so a model can replay them.
     """
     config.validate()
     rng = Random(f"{config.seed}/eval")
@@ -51,22 +53,18 @@ def generate_eval_dataset(
         raise ConfigurationError("no capabilities to evaluate")
     dataset = TransitionDataset()
     sequences: list[list[str]] = []
-    for _ in range(config.episodes):
-        s = bundle.abstraction(bundle.simulator.reset())
+    for episode in range(config.episodes):
         seq = [rng.choice(names) for _ in range(rng.randint(config.min_len, config.max_len))]
         sequences.append(seq)
-        for cap_name in seq:
-            states, _ = run_capability(
-                bundle.agent,
-                bundle.simulator,
-                capabilities[cap_name].intent,
-                bundle.abstraction,
-                theta,
-                horizon,
-                s,
-            )
+        query = Query(bundle.simulator.reset(), SequencePolicy(tuple(seq)), 1)
+        (result,) = execute_query(
+            bundle.agent, bundle.simulator, query, capabilities, bundle.abstraction,
+            theta, horizon, len(seq),
+        )
+        if result.error is not None:
+            raise RuntimeError(f"evaluation episode {episode}: {result.error}")
+        for cap_name, states in result.segments:
             dataset.record(states, cap_name)
-            s = states[-1]
     return dataset, sequences
 
 
@@ -78,12 +76,13 @@ def model_replay(
 ) -> TransitionDataset:
     """Replay capability sequences inside the model, open loop from `start`.
 
-    Every step draws exactly one uniform from `Random(f"{seed}/replay")`,
-    whatever the model, and picks a successor in bit order as
-    `distributions.draw` would. Each distinct (state, capability) is looked
-    up in the model once per call; later visits reuse its successor list and
-    add to its per-successor hit counts, which become the returned dataset's
-    counts, in the order the pairs were first visited.
+    Every step draws exactly one uniform `u` from `Random(f"{seed}/replay")`,
+    whatever the model, and picks the successor at `bisect_right` of `u` in
+    the `cumulative` weights of the successors in bit order. Each distinct
+    (state, capability) is looked up in the model once per call; later
+    visits reuse its successor list and add to its per-successor hit counts,
+    which become the returned dataset's counts, in the order the pairs were
+    first visited.
     """
     random = Random(f"{seed}/replay").random
     # capability -> state bits -> (successors in bit order, their

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from random import Random
@@ -20,7 +21,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .abstraction import AbstractState, AbstractionFn, AtomUniverse, ConfigurationError, LiteralConjunction
 from .dataset import TransitionDataset
-from .distributions import draw
+from .distributions import cumulative
 from .envs.base import EnvironmentBundle
 from .model import (
     Capability,
@@ -61,7 +62,6 @@ class LearnerConfig:
     random_policy_length: int = 30
     bootstrap_steps: int | None = None
     seed: int = 0
-    progress: bool = False
 
     def validate(self) -> None:
         if self.variant not in VARIANTS:
@@ -309,8 +309,8 @@ def sample_initial_state(
     ordered = sorted(candidates.items(), key=lambda kv: kv[0].bits)
     visit = [dataset.state_visit_count(s) for s, _ in ordered]
     n_max = max(visit)
-    weighted = [(payload, n_max + 1 - v) for (_, payload), v in zip(ordered, visit)]
-    return draw(weighted, rng.random() * sum(w for _, w in weighted))
+    weights = [n_max + 1 - v for v in visit]
+    return ordered[bisect_right(cumulative(weights), rng.random() * sum(weights))][1]
 
 
 def run(
@@ -478,11 +478,6 @@ def run(
         )
         log.records.append(record)
         journal(asdict(record))
-        if config.progress:
-            print(
-                f"query {query_idx:4d}  novel={novel:3d}  |D|={len(dataset):5d}  "
-                f"elapsed={record.elapsed:.2f}s"
-            )
         if checkpoint_hook is not None:
             checkpoint_hook(query_idx, m_pess, log, dataset)
 

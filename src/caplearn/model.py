@@ -55,19 +55,18 @@ class ConditionalEffectRule:
 class _CapabilityMemo:
     """Facts that depend only on one capability, filled on first use.
 
-    `predictions` and `fires` map a state to `predict`'s result and to
-    whether some rule accepts it; `json` is `(universe, text)` of the
-    capability's compact `model_to_json` fragment. `filtered` is the
-    capability keeping only the rules `evaluation.evaluation_filter` keeps.
+    `predictions` maps a state to `predict`'s result; `json` is
+    `(universe, text)` of the capability's compact `model_to_json` fragment.
+    `filtered` is the capability keeping only the rules
+    `evaluation.evaluation_filter` keeps.
     `entry` is `(universe, parsed JSON entry)` for a capability that
     `model_from_json` built, so a later load can tell it is unchanged.
     """
 
-    __slots__ = ("predictions", "fires", "json", "filtered", "entry")
+    __slots__ = ("predictions", "json", "filtered", "entry")
 
     def __init__(self) -> None:
         self.predictions: dict[AbstractState, dict[AbstractState, float]] = {}
-        self.fires: dict[AbstractState, bool] = {}
         self.json: tuple[AtomUniverse, str] | None = None
         self.filtered: Capability | None = None
         self.entry: tuple[AtomUniverse, dict] | None = None
@@ -77,9 +76,9 @@ class _CapabilityMemo:
 class Capability:
     """A named intent plus the conditional effect rules modeling it.
 
-    `memo` caches what `predict`, `fires` and `model_to_json` compute from
-    the rules. It is neither compared nor copied by `dataclasses.replace`,
-    and it travels with the object: every model holding this capability,
+    `memo` caches what `predict` and `model_to_json` compute from the
+    rules. It is neither compared nor copied by `dataclasses.replace`, and
+    it travels with the object: every model holding this capability,
     including the pairs `build_models` refits from it, shares it.
     """
 
@@ -285,18 +284,6 @@ def predict(
         dist = {state: 1.0}
     memo[state] = dist
     return dist
-
-
-def fires(model: CapabilityModel, state: AbstractState, capability: str) -> bool:
-    """Whether some rule of `capability` accepts `state`; memoized in the capability."""
-    cap = model.capabilities.get(capability)
-    if cap is None:
-        return False
-    memo = cap.memo.fires
-    hit = memo.get(state)
-    if hit is None:
-        hit = memo[state] = any(satisfies(state, rule.condition) for rule in cap.rules)
-    return hit
 
 
 def entailed_successors(

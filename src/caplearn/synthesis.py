@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 
 from .abstraction import AbstractState, AtomUniverse
 from .distributions import cumulative, push_distribution, tv_distance
-from .model import CapabilityModel, fires, predict
+from .model import CapabilityModel, predict
 
 # `synthesize_exact`'s random rollouts per new leaf, and children generated per node visit.
 EXACT_ROLLOUTS = 3
@@ -213,24 +213,20 @@ def synthesize_exact(
 
 
 class _StateTable:
-    """Per-call facts about one abstract state: applicable capabilities and steps.
+    """Per-call facts about one abstract state: its steps, one per capability.
 
-    `steps[i]`, built on the first step taken with `caps[i]`, holds in
-    successor bit order the `distributions.cumulative` mixture weights, so
-    that `bisect_right(cum, u)` is the successor `distributions.draw` picks
-    for `u`, and `(successor table, reward)` pairs. The owning call clears `steps` on return, which breaks the cycles
-    between tables. A rollout draws `getrandbits(bits_k)` until the value is
-    below `len(caps)`, which is how `randrange(len(caps))` consumes the RNG
-    on CPython 3.10 to 3.13.
+    `steps[i]`, built on the first step taken with the call's `i`-th
+    capability, holds in successor bit order the `distributions.cumulative`
+    mixture weights, so that `bisect_right(cum, u)` is the successor picked
+    for the uniform `u`, and `(successor table, reward)` pairs. The owning
+    call clears `steps` on return, which breaks the cycles between tables.
     """
 
-    __slots__ = ("state", "caps", "bits_k", "steps")
+    __slots__ = ("state", "steps")
 
-    def __init__(self, state: AbstractState, caps: list[str]) -> None:
+    def __init__(self, state: AbstractState, k: int) -> None:
         self.state = state
-        self.caps = caps
-        self.bits_k = len(caps).bit_length()
-        self.steps: list[_Step | None] | None = [None] * len(caps)
+        self.steps: list[_Step | None] | None = [None] * k
 
 
 _Step = tuple[list[float], list[tuple[_StateTable, float]]]
@@ -241,8 +237,8 @@ class _SampleNode:
 
     `value` is the reward (plus the rollout return, for a fresh node) until
     the node's first backup, and `max(q)` from then on. `n_edge`, `w_edge`,
-    `q` and `children` are indexed like `table.caps` and allocated when the
-    node is first expanded (`n == 0`); most nodes stay leaves.
+    `q` and `children` are indexed like the call's capabilities and allocated
+    when the node is first expanded (`n == 0`); most nodes stay leaves.
     `children[i]` is indexed like the successors of `table.steps[i]`.
     """
 
@@ -263,24 +259,29 @@ def synthesize_sampled(
     kappa: float,
     depth: int,
     rng: Random,
-    rollouts: int = 1,
 ) -> SynthesisResult:
     """Sample-based MCTS over single states with symmetric-difference rewards.
 
-    At a node with state s only capabilities with a firing rule in either
-    model are applicable. Successors are sampled from the half/half mixture of
-    the two models' predictions; reaching a state in the symmetric difference
-    of the two one-step supports earns reward 1. Q values back up from the
-    single observed successor, undiscounted. Selection takes the first
-    unvisited edge, else the first maximum of `q + kappa * sqrt(log N / n)`.
+    The actions, at every state, are the capabilities with at least one rule
+    in either model, in name order; with none the result is the empty policy
+    and no draw is made. Where neither model's rules accept a state, both
+    predict no change, so such a step earns 0. (For a pair `build_models`
+    fits, some optimistic rule of each capability with data accepts every
+    state.) Successors are sampled from the half/half mixture of the two
+    models' predictions; reaching a state in the symmetric difference of the
+    two one-step supports earns reward 1. Q values back up from the single
+    observed successor, undiscounted. Selection takes the first unvisited
+    edge, else the first maximum of `q + kappa * sqrt(log N / n)`. Each new
+    leaf gets one random rollout.
 
-    Within one call every state seen gets one `_StateTable`: its applicable
-    capabilities, computed once through the memoized `fires`, and per
-    capability a step entry built on first use from one `predict` per model. The RNG stream is one
-    `rng.random()` per sampled step (also with a single successor) and, per
-    rollout step, the draws of `rng.randrange` over the applicable
-    capabilities, so result and stream are those of a search that draws
-    through `distributions.draw` and `rng.choice` at every step.
+    Within one call every state seen gets one `_StateTable`, holding per
+    capability a step entry built on first use from one `predict` per model.
+    The RNG stream is one `rng.random()` per sampled step (also with a single
+    successor) and, per rollout step, `getrandbits(k.bit_length())` until
+    the value is below the number `k` of capabilities, which is how
+    `rng.randrange(k)` consumes the RNG on CPython 3.10 to 3.13. So result
+    and stream are those of a search that picks each successor by inverse
+    CDF over its mixture weights and each rollout capability by `rng.choice`.
 
     `value` is kept incrementally; `max(q)` is recomputed only when the edge
     that held it falls. Rewards are 0 or 1, so every Q is >= 0, and at a
@@ -290,23 +291,22 @@ def synthesize_sampled(
     above the score at one more visit. Otherwise (kappa 0, or both round to
     the same float) the full score list is built.
     """
-    all_caps = sorted(set(m_pess.capabilities) | set(m_opt.capabilities))
-    if not all_caps or iterations <= 0:
+    named = m_pess.capabilities.keys() | m_opt.capabilities
+    caps = sorted(c for c in named if m_pess.rules_for(c) or m_opt.rules_for(c))
+    if not caps or iterations <= 0:
         return SynthesisResult(StatePolicy(()), 0.0)
+    k, bits_k = len(caps), len(caps).bit_length()
 
     tables: dict[int, _StateTable] = {}
 
     def table_of(state: AbstractState) -> _StateTable:
         table = tables.get(state.bits)
         if table is None:
-            applicable = [
-                c for c in all_caps if fires(m_pess, state, c) or fires(m_opt, state, c)
-            ]
-            table = tables[state.bits] = _StateTable(state, applicable)
+            table = tables[state.bits] = _StateTable(state, k)
         return table
 
     def make_step(table: _StateTable, i: int) -> _Step:
-        state, cap = table.state, table.caps[i]
+        state, cap = table.state, caps[i]
         p1 = predict(m_pess, state, cap)
         p2 = predict(m_opt, state, cap)
         mix: dict[AbstractState, float] = {}
@@ -330,9 +330,6 @@ def synthesize_sampled(
         fresh = None
         while len(path) < depth:
             table = node.table
-            k = len(table.caps)
-            if not k:
-                break
             if not node.n:
                 node.n_edge = [0] * k
                 node.w_edge = [0.0] * k
@@ -364,22 +361,16 @@ def synthesize_sampled(
                 break
             node = child
         if fresh is not None:
-            total = 0.0
-            for _ in range(rollouts):
-                ret = 0.0
-                table = fresh.table
-                for _ in range(depth - len(path)):
-                    k = len(table.caps)
-                    if not k:
-                        break
-                    c = getrandbits(table.bits_k)
-                    while c >= k:
-                        c = getrandbits(table.bits_k)
-                    cum, outs = table.steps[c] or make_step(table, c)
-                    table, r = outs[bisect_right(cum, random())]
-                    ret += r
-                total += ret
-            fresh.value = fresh.reward + total / rollouts
+            ret = 0.0
+            table = fresh.table
+            for _ in range(depth - len(path)):
+                c = getrandbits(bits_k)
+                while c >= k:
+                    c = getrandbits(bits_k)
+                cum, outs = table.steps[c] or make_step(table, c)
+                table, r = outs[bisect_right(cum, random())]
+                ret += r
+            fresh.value = fresh.reward + ret
         for parent, i, child in reversed(path):
             parent.n += 1
             n = parent.n_edge[i] = parent.n_edge[i] + 1
@@ -412,8 +403,7 @@ def synthesize_sampled(
             w_sum[i] += w
     mapping: dict[AbstractState, str] = {}
     for bits, (n_sum, w_sum) in pooled.items():
-        table = tables[bits]
         visited = [i for i, n in enumerate(n_sum) if n]
-        best = min(visited, key=lambda i: (-(w_sum[i] / n_sum[i]), table.caps[i]))
-        mapping[table.state] = table.caps[best]
+        best = min(visited, key=lambda i: (-(w_sum[i] / n_sum[i]), caps[i]))
+        mapping[tables[bits].state] = caps[best]
     return SynthesisResult(StatePolicy.from_dict(mapping), score)

@@ -87,6 +87,20 @@ def check_value_contract(value, fields: dict, text: str) -> None:
         assert back == value
 
 
+def draw(weighted, u):
+    """Reference categorical draw: the first item whose running weight sum exceeds `u`.
+
+    Weights are summed as given, never renormalized; when rounding leaves `u`
+    past the last running sum, the last item is returned.
+    """
+    acc = 0.0
+    for item, w in weighted:
+        acc += w
+        if u < acc:
+            return item
+    return weighted[-1][0]
+
+
 def random_state(universe: AtomUniverse, rng: Random) -> AbstractState:
     return AbstractState(rng.randrange(1 << universe.num_atoms), universe.num_atoms)
 

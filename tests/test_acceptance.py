@@ -14,7 +14,7 @@ import pytest
 
 from caplearn.abstraction import build_universe
 from caplearn.dataset import Transition, TransitionDataset
-from caplearn.distributions import push_distribution, sd_reward, tv_distance
+from caplearn.distributions import push_distribution, tv_distance
 from caplearn.envs import road_world, vacuum_world
 from caplearn.evaluation import (
     exact_vd,
@@ -276,12 +276,6 @@ class TestCriterion7MetricCorrectness:
         worst = 0.0
         for d1, d2, want in tv_cases:
             worst = max(worst, abs(tv_distance(d1, d2) - want))
-
-        sd_cases = [
-            ({a: 0.5, b: 0.5}, {b: 0.5, c: 0.5}, 0.5),
-        ]
-        for d1, d2, want in sd_cases:
-            worst = max(worst, abs(sd_reward(d1, d2) - want))
 
         agent = TransitionDataset()
         model = TransitionDataset()

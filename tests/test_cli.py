@@ -67,6 +67,22 @@ class TestLearn:
             assert (out / name).is_file(), name
         assert sorted((out / "snapshots").glob("query_*.json"))
 
+    def test_progress_line_per_query_then_stop_line(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path / "cfg.json")
+        assert main(["learn", "--config", str(cfg)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        records = [json.loads(line) for line in (tmp_path / "out" / "runlog.jsonl").open()][:-1]
+        assert len(records) == 4 and len(lines) == 5
+        for line, r in zip(lines, records):
+            assert line.startswith(f"query {r['index']:4d}  novel={r['novel']:3d}  "
+                                   f"|D|={r['unique_transitions']:5d}  elapsed=")
+        assert lines[-1].startswith("stopped: max_queries after 4 queries")
+
+    def test_quiet_prints_nothing(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path / "cfg.json")
+        assert main(["learn", "--config", str(cfg), "--quiet"]) == 0
+        assert capsys.readouterr().out == ""
+
     def test_variant_flag_overrides_config(self, tmp_path):
         cfg = _write_config(tmp_path / "cfg.json")
         assert main(["learn", "--config", str(cfg), "--variant", "random", "--quiet"]) == 0

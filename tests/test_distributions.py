@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from caplearn.abstraction import AbstractState, Condition, LiteralConjunction, satisfies
 from caplearn.dataset import EffectPair
-from caplearn.distributions import cumulative, draw, push_distribution, sd_reward, tv_distance
+from caplearn.distributions import cumulative, push_distribution, tv_distance
 from caplearn.model import ConditionalEffectRule, apply_effect, predict
-from .conftest import RULE_CAP, random_rule, random_state, rule_model, small_universe
+from .conftest import RULE_CAP, draw, random_rule, random_state, rule_model, small_universe
 
 
 def dense_push_oracle(probs, rules, num_atoms):
@@ -135,23 +135,27 @@ class TestPushDistribution:
 
 
 class TestDraw:
+    """The one categorical draw: `bisect_right(cumulative(weights), u)`."""
+
+    @staticmethod
+    def _pick(weights, u):
+        return bisect_right(cumulative(weights), u)
+
     def test_first_item_whose_cumulative_weight_exceeds_u(self):
-        weighted = [("a", 0.25), ("b", 0.5), ("c", 0.25)]
-        assert [draw(weighted, u) for u in (0.0, 0.24, 0.25, 0.74, 0.75)] == [
-            "a", "a", "b", "b", "c"
-        ]
+        weights = [0.25, 0.5, 0.25]
+        assert [self._pick(weights, u) for u in (0.0, 0.24, 0.25, 0.74, 0.75)] == [0, 0, 1, 1, 2]
 
     def test_u_past_the_total_returns_last_item(self):
-        assert draw([("a", 0.5), ("b", 0.5)], 1.0) == "b"
-        assert draw([("a", 2), ("b", 1)], 3.5) == "b"
+        assert self._pick([0.5, 0.5], 1.0) == 1
+        assert self._pick([2, 1], 3.5) == 1
 
     def test_weights_are_not_renormalized(self):
-        assert draw([("a", 2), ("b", 1)], 1.5) == "a"
-        assert draw([("a", 2), ("b", 1)], 2.5) == "b"
+        assert self._pick([2, 1], 1.5) == 0
+        assert self._pick([2, 1], 2.5) == 1
 
 
 class TestCumulative:
-    """`bisect_right(cumulative(ws), u)` picks the index `draw` picks for `u`."""
+    """`bisect_right(cumulative(ws), u)` picks the index the reference `draw` picks for `u`."""
 
     @staticmethod
     def _both(weights, u):
@@ -223,30 +227,3 @@ class TestTvDistance:
             {s: round(p, 12) for s, p in d1.items()}
             == {s: round(p, 12) for s, p in d2.items()}
         )
-
-
-class TestSdReward:
-    def test_identical_supports_zero(self):
-        a, b = AbstractState(1, 3), AbstractState(2, 3)
-        d1 = {a: 0.9, b: 0.1}
-        d2 = {a: 0.2, b: 0.8}
-        assert sd_reward(d1, d2) == 0.0
-
-    def test_disjoint_supports_one(self):
-        d1 = {AbstractState(1, 3): 1.0}
-        d2 = {AbstractState(2, 3): 1.0}
-        assert sd_reward(d1, d2) == 1.0
-
-    def test_worked_example(self):
-        a, b, c = (AbstractState(i, 3) for i in (1, 2, 4))
-        d1 = {a: 0.5, b: 0.5}
-        d2 = {b: 0.5, c: 0.5}
-        assert abs(sd_reward(d1, d2) - 0.5) <= 1e-12
-
-    @given(st.integers(0, 100_000))
-    @settings(max_examples=60, deadline=None)
-    def test_zero_iff_equal_supports(self, seed):
-        rng = Random(seed)
-        u = small_universe(4)
-        d1, d2 = random_distribution(u, rng), random_distribution(u, rng)
-        assert (sd_reward(d1, d2) == 0.0) == (d1.keys() == d2.keys())

@@ -10,7 +10,6 @@ import caplearn
 from caplearn import evaluation
 from caplearn.abstraction import Condition, LiteralConjunction
 from caplearn.dataset import EffectPair, Transition, TransitionDataset
-from caplearn.distributions import draw
 from caplearn.envs import road_world, vacuum_world
 from caplearn.evaluation import (
     EvalConfig,
@@ -29,7 +28,7 @@ from caplearn.model import (
     ConditionalEffectRule,
     predict,
 )
-from .conftest import random_dataset, small_universe
+from .conftest import draw, random_dataset, small_universe
 
 
 def _ds(universe, triples):
@@ -359,6 +358,42 @@ class TestGenerateEvalDataset:
                 want.record(states, cap_name)
         assert got.counts == want.counts
         assert len({t.s for t in got.counts}) >= 10
+
+    @pytest.mark.parametrize("theta", [None, 2])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_dataset_matches_per_capability_reference_loop(self, seed, theta):
+        """The loop `generate_eval_dataset` ran before each episode became one
+        `execute_query` run: reset, then one `run_capability` per element."""
+        got_b, want_b = road_world(seed=seed), road_world(seed=seed)
+        caps = dict(got_b.ground_truth.capabilities)
+        cfg = EvalConfig(episodes=30, min_len=2, max_len=12, seed=seed)
+        got, sequences = generate_eval_dataset(got_b, caps, cfg, theta=theta)
+        rng = Random(f"{seed}/eval")
+        names = sorted(caps)
+        want = TransitionDataset()
+        for seq in sequences:
+            s = want_b.abstraction(want_b.simulator.reset())
+            assert seq == [rng.choice(names) for _ in range(rng.randint(2, 12))]
+            for cap_name in seq:
+                states, _ = run_capability(
+                    want_b.agent, want_b.simulator, caps[cap_name].intent, want_b.abstraction,
+                    theta, 100, s,
+                )
+                want.record(states, cap_name)
+                s = states[-1]
+        assert list(got.counts.items()) == list(want.counts.items())
+        assert got_b.simulator.rng_state() == want_b.simulator.rng_state()
+
+    def test_failing_agent_fails_the_dataset(self):
+        b = vacuum_world(seed="fail")
+        caps = dict(b.ground_truth.capabilities)
+
+        def attempt(*args, **kwargs):
+            raise RuntimeError("agent crashed")
+
+        b.agent.attempt = attempt
+        with pytest.raises(RuntimeError, match="agent crashed"):
+            generate_eval_dataset(b, caps, EvalConfig(episodes=2, min_len=1, max_len=2))
 
     def test_single_capability_episodes(self):
         b = vacuum_world(seed="single")

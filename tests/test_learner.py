@@ -26,7 +26,6 @@ from caplearn.model import (
     build_models,
     entails,
     entailed_successors,
-    fires,
     load_model,
     model_to_json,
     predict,
@@ -585,8 +584,6 @@ class TestIncrementalRefit:
                     # Memo entries carried over from earlier queries.
                     for s, dist in cap.memo.predictions.items():
                         assert dist == predict(want, s, name)
-                    for s, hit in cap.memo.fires.items():
-                        assert hit == fires(want, s, name)
             kept = {} if previous is None else previous[0].capabilities
             rebuilt_counts.append(
                 sum(cap is not kept.get(name) for name, cap in pair[0].capabilities.items())

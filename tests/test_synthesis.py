@@ -5,9 +5,9 @@ from random import Random
 import pytest
 
 from caplearn import synthesis
-from caplearn.abstraction import AbstractState, Condition, LiteralConjunction, literal_of, satisfies
+from caplearn.abstraction import AbstractState, Condition, LiteralConjunction, literal_of
 from caplearn.dataset import EffectPair, Transition, TransitionDataset
-from caplearn.distributions import draw, push_distribution, sd_reward, tv_distance
+from caplearn.distributions import push_distribution, tv_distance
 from caplearn.envs import road_world, stochastic_blocks, vacuum_world
 from caplearn.evaluation import ground_truth_transitions, reachable_states
 from caplearn.learner import LearnerConfig, run
@@ -28,7 +28,7 @@ from caplearn.synthesis import (
     synthesize_sampled,
     uct_score,
 )
-from .conftest import small_universe
+from .conftest import draw, small_universe
 
 
 class TestUctScore:
@@ -210,14 +210,24 @@ class TestSynthesizeSampled:
         assert result.score == 0.0
 
     def test_root_q_converges_to_sd_reward(self):
+        # Half the half/half mixture's mass lies on the symmetric difference
+        # of the two one-step supports.
         u, s0, m1, m2 = _toy_support_difference_models()
-        expected = sd_reward(
-            push_distribution(_point(s0), m1, "c"),
-            push_distribution(_point(s0), m2, "c"),
-        )
-        assert expected == pytest.approx(0.5)
         result = synthesize_sampled(s0, m1, m2, 10_000, math.sqrt(2), 1, Random(42))
-        assert result.score == pytest.approx(expected, abs=0.05)
+        assert result.score == pytest.approx(0.5, abs=0.05)
+
+    def test_steps_where_no_rule_accepts_earn_nothing(self):
+        # The toy's rules accept only s0, so every successor keeps "c" as an
+        # action: both models predict no change there and the step earns 0.
+        u, s0, m1, m2 = _toy_support_difference_models()
+        result = synthesize_sampled(s0, m1, m2, 4000, math.sqrt(2), 3, Random(5))
+        successors = set(push_distribution(_point(s0), m1, "c")) | set(
+            push_distribution(_point(s0), m2, "c")
+        )
+        assert result.policy.lookup(s0) == "c"
+        assert {s for s in successors if result.policy.lookup(s) == "c"}
+        assert set(dict(result.policy.mapping)) <= successors | {s0}
+        assert result.score == pytest.approx(0.5, abs=0.05)
 
     def test_no_applicable_capability_gives_empty_policy(self):
         u = small_universe(3)
@@ -225,9 +235,10 @@ class TestSynthesizeSampled:
         m_pess, m_opt = build_models(
             [Capability("c", LiteralConjunction(1, 0))], TransitionDataset(), u
         )
-        result = synthesize_sampled(s0, m_pess, m_opt, 100, 1.0, 3, Random(0))
-        assert result.score == 0.0
-        assert result.policy.lookup(s0) is None
+        rng = Random(0)
+        result = synthesize_sampled(s0, m_pess, m_opt, 100, 1.0, 3, rng)
+        assert result == SynthesisResult(StatePolicy(()), 0.0)
+        assert rng.getstate() == Random(0).getstate()
 
     def test_deterministic_under_seed(self):
         u, s0, m1, m2 = _toy_support_difference_models()
@@ -248,30 +259,19 @@ class _RefNode:
         self.value = reward
 
 
-def _reference_synthesize_sampled(s0, m_pess, m_opt, iterations, kappa, depth, rng, rollouts=1):
+def _reference_synthesize_sampled(s0, m_pess, m_opt, iterations, kappa, depth, rng):
     """Sampled MCTS keyed by `AbstractState`, looking each step up through dicts.
 
     The tree and its statistics are dicts keyed by state and capability name;
-    each sampled step draws through `distributions.draw` and each UCT choice
-    goes through `uct_score`.
+    the actions are the capabilities with a rule in either model; each
+    sampled step goes through the reference `draw` and each UCT choice
+    through `uct_score`.
     """
     caps = sorted(set(m_pess.capabilities) | set(m_opt.capabilities))
-    if not caps or iterations <= 0:
+    vc = [c for c in caps if m_pess.rules_for(c) or m_opt.rules_for(c)]
+    if not vc or iterations <= 0:
         return SynthesisResult(StatePolicy(()), 0.0)
-    valid_cache = {}
     step_cache = {}
-
-    def valid_caps(state):
-        got = valid_cache.get(state)
-        if got is None:
-            got = [
-                c
-                for c in caps
-                if any(satisfies(state, r.condition) for r in m_pess.rules_for(c))
-                or any(satisfies(state, r.condition) for r in m_opt.rules_for(c))
-            ]
-            valid_cache[state] = got
-        return got
 
     def sample_step(state, cap):
         got = step_cache.get((state, cap))
@@ -290,18 +290,12 @@ def _reference_synthesize_sampled(s0, m_pess, m_opt, iterations, kappa, depth, r
         return chosen, (1.0 if chosen in delta else 0.0)
 
     def rollout_return(state, used_depth):
-        total = 0.0
-        for _ in range(rollouts):
-            ret = 0.0
-            cur = state
-            for _ in range(depth - used_depth):
-                vc = valid_caps(cur)
-                if not vc:
-                    break
-                cur, r = sample_step(cur, rng.choice(vc))
-                ret += r
-            total += ret
-        return total / rollouts
+        ret = 0.0
+        cur = state
+        for _ in range(depth - used_depth):
+            cur, r = sample_step(cur, rng.choice(vc))
+            ret += r
+        return ret
 
     root = _RefNode(s0, 0.0)
     all_nodes = [root]
@@ -310,9 +304,6 @@ def _reference_synthesize_sampled(s0, m_pess, m_opt, iterations, kappa, depth, r
         path = []
         fresh = None
         while len(path) < depth:
-            vc = valid_caps(node.state)
-            if not vc:
-                break
             cap = None
             for c in vc:
                 if node.n_edge.get(c, 0) == 0:
@@ -406,12 +397,10 @@ def _observed(model, capability):
     ]
 
 
-def _assert_same_as_reference(s0, m_pess, m_opt, iterations, kappa, depth, seed, rollouts):
+def _assert_same_as_reference(s0, m_pess, m_opt, iterations, kappa, depth, seed):
     rng_new, rng_ref = Random(seed), Random(seed)
-    got = synthesize_sampled(s0, m_pess, m_opt, iterations, kappa, depth, rng_new, rollouts)
-    want = _reference_synthesize_sampled(
-        s0, m_pess, m_opt, iterations, kappa, depth, rng_ref, rollouts
-    )
+    got = synthesize_sampled(s0, m_pess, m_opt, iterations, kappa, depth, rng_new)
+    want = _reference_synthesize_sampled(s0, m_pess, m_opt, iterations, kappa, depth, rng_ref)
     assert got.policy.mapping == want.policy.mapping
     assert got.score == want.score
     assert rng_new.getstate() == rng_ref.getstate()
@@ -459,12 +448,10 @@ def _falling_best_edge_models():
 
 class TestSynthesizeSampledReference:
     @pytest.mark.parametrize("depth", [1, 2, 6])
-    @pytest.mark.parametrize("rollouts", [1, 2])
-    def test_toy_support_difference_models(self, depth, rollouts):
+    @pytest.mark.parametrize("run", [1, 2])
+    def test_toy_support_difference_models(self, depth, run):
         u, s0, m1, m2 = _toy_support_difference_models()
-        got = _assert_same_as_reference(
-            s0, m1, m2, 300, math.sqrt(2), depth, f"toy{depth}", rollouts
-        )
+        got = _assert_same_as_reference(s0, m1, m2, 300, math.sqrt(2), depth, f"toy{depth}/{run}")
         assert got.score > 0.0
 
     @pytest.mark.parametrize("env,seed", [
@@ -477,19 +464,17 @@ class TestSynthesizeSampledReference:
         for m_pess, m_opt in pairs:
             for k, s0 in enumerate(starts):
                 for depth in (1, 6):
-                    for rollouts in (1, 2):
-                        got = _assert_same_as_reference(
-                            s0, m_pess, m_opt, 150, math.sqrt(2), depth,
-                            f"{env}/{seed}/{k}/{depth}", rollouts,
-                        )
-                        scored += got.score > 0.0
+                    got = _assert_same_as_reference(
+                        s0, m_pess, m_opt, 150, math.sqrt(2), depth, f"{env}/{seed}/{k}/{depth}"
+                    )
+                    scored += got.score > 0.0
         assert scored  # some searches found a distinguishing step
 
     def test_greedy_kappa_and_few_iterations(self, learned_pairs):
         starts, pairs = learned_pairs("roads", 0)
         for m_pess, m_opt in pairs:
             for iterations in (1, 2, 7):
-                _assert_same_as_reference(starts[0], m_pess, m_opt, iterations, 0.0, 6, "g", 1)
+                _assert_same_as_reference(starts[0], m_pess, m_opt, iterations, 0.0, 6, "g")
 
     def test_no_applicable_capability(self):
         u = small_universe(3)
@@ -497,7 +482,7 @@ class TestSynthesizeSampledReference:
         m_pess, m_opt = build_models(
             [Capability("c", LiteralConjunction(1, 0))], TransitionDataset(), u
         )
-        got = _assert_same_as_reference(s0, m_pess, m_opt, 100, 1.0, 3, 0, 2)
+        got = _assert_same_as_reference(s0, m_pess, m_opt, 100, 1.0, 3, 0)
         assert got == SynthesisResult(StatePolicy(()), 0.0)
 
     @pytest.mark.parametrize("env", ["vacuum", "roads", "blocks"])
@@ -508,14 +493,14 @@ class TestSynthesizeSampledReference:
         starts, pairs = learned_pairs(env, 0)
         for m_pess, m_opt in pairs:
             for k, s0 in enumerate(starts):
-                _assert_same_as_reference(s0, m_pess, m_opt, 400, kappa, 6, f"{kappa}/{k}", 1)
+                _assert_same_as_reference(s0, m_pess, m_opt, 400, kappa, 6, f"{kappa}/{k}")
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 17, 33])
     def test_rollout_capability_draws(self, k):
         # k = 1, 3, 17 and 33 make the rollout's draw reject values >= k.
         u, s0, m1, m2 = _always_applicable_models(k)
-        for depth, rollouts in ((6, 1), (12, 2)):
-            got = _assert_same_as_reference(s0, m1, m2, 300, math.sqrt(2), depth, f"k{k}", rollouts)
+        for depth in (6, 12):
+            got = _assert_same_as_reference(s0, m1, m2, 300, math.sqrt(2), depth, f"k{k}")
             assert got.score > 0.0
 
     @pytest.mark.parametrize("depth", [1, 3])
@@ -523,7 +508,7 @@ class TestSynthesizeSampledReference:
     def test_best_edge_mean_falls(self, depth, kappa):
         u, s0, m1, m2 = _falling_best_edge_models()
         for seed in range(3):
-            got = _assert_same_as_reference(s0, m1, m2, 200, kappa, depth, seed, 1)
+            got = _assert_same_as_reference(s0, m1, m2, 200, kappa, depth, seed)
             assert got.score > 0.0
 
     def test_call_leaves_no_reference_cycles(self, learned_pairs):
@@ -534,7 +519,7 @@ class TestSynthesizeSampledReference:
         gc.disable()
         try:
             for s0 in starts:
-                synthesize_sampled(s0, m_pess, m_opt, 300, math.sqrt(2), 6, Random(3), rollouts=2)
+                synthesize_sampled(s0, m_pess, m_opt, 300, math.sqrt(2), 6, Random(3))
                 assert gc.collect() == 0
         finally:
             gc.enable()
@@ -553,7 +538,7 @@ class TestSynthesizeSampledReference:
         monkeypatch.setattr(synthesis, "predict", counting_predict)
         for s0 in starts:
             calls.clear()
-            synthesize_sampled(s0, m_pess, m_opt, 300, math.sqrt(2), 6, Random(1), rollouts=2)
+            synthesize_sampled(s0, m_pess, m_opt, 300, math.sqrt(2), 6, Random(1))
             assert calls
             assert max(calls.values()) == 1
 
