@@ -14,7 +14,7 @@ from .abstraction import (
     satisfies,
 )
 from .dataset import EffectPair, Transition, TransitionDataset, effects_of
-from .distributions import push_distribution, tv_distance
+from .distributions import tv_distance
 from .evaluation import (
     EvalConfig,
     evaluation_filter,
@@ -62,7 +62,6 @@ from .synthesis import (
     random_policy_query,
     synthesize_exact,
     synthesize_sampled,
-    uct_score,
 )
 
 __version__ = "0.1.0"

@@ -90,11 +90,11 @@ class TransitionDataset:
         return not seen
 
     def record(
-        self, states: Sequence[AbstractState], capability: str
+        self, states: Sequence[AbstractState], capability: str, count: int = 1
     ) -> tuple[Transition, bool]:
-        """Record the endpoint transition of one execution's abstract states."""
+        """Record `count` executions whose abstract states start and end as `states` do."""
         t = Transition(states[0], capability, states[-1])
-        return t, self.add(t)
+        return t, self.add(t, count)
 
     def transitions_from(self, capability: str, state: AbstractState) -> set[Transition]:
         return self._by_cap_state.get(capability, {}).get(state, set())

@@ -6,24 +6,6 @@ import math
 from typing import Iterable, Mapping
 
 from .abstraction import AbstractState
-from .model import CapabilityModel, predict
-
-
-def push_distribution(
-    dist: Mapping[AbstractState, float], model: CapabilityModel, capability: str
-) -> dict[AbstractState, float]:
-    """One-step image of `dist` under one capability of `model`.
-
-    Each state's successors come from the memoized `predict` (a state
-    no condition accepts keeps its mass); successors reached from several
-    states have their masses summed. A product that underflows to 0.0 keeps
-    its state in the support.
-    """
-    out: dict[AbstractState, float] = {}
-    for state, q in dist.items():
-        for s2, p in predict(model, state, capability).items():
-            out[s2] = out.get(s2, 0.0) + q * p
-    return out
 
 
 def tv_distance(d1: Mapping[AbstractState, float], d2: Mapping[AbstractState, float]) -> float:

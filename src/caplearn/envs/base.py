@@ -53,7 +53,13 @@ class ActionDef:
 
 
 class AtomSimulator:
-    """Stateful, seedable simulator over atom-set environment states."""
+    """Stateful, seedable simulator over atom-set environment states.
+
+    What an action does from a state is worked out on the first visit of
+    the pair and kept: `None` when the action is inapplicable, else its
+    cumulative outcome weights and the successor state of each outcome.
+    Each applicable `step` draws one `random()`.
+    """
 
     def __init__(
         self,
@@ -68,6 +74,8 @@ class AtomSimulator:
         if len(self.actions) != len(actions):
             raise ValueError("duplicate action names")
         self._cumulative = {n: cumulative(o.prob for o in a.outcomes) for n, a in self.actions.items()}
+        # (state, action) -> None if inapplicable, else (cumulative weights, successor per outcome)
+        self._moves: dict[tuple[EnvState, str], tuple[list[float], list[EnvState]] | None] = {}
         self._rng = Random(f"{seed}/sim")
         self._state = self._reset_state
 
@@ -82,22 +90,35 @@ class AtomSimulator:
     def revert(self, state: EnvState) -> None:
         self._state = frozenset(state)
 
+    def _move(self, state: EnvState, action: str) -> tuple[list[float], list[EnvState]] | None:
+        """What `action` does from `state`, computed on the first visit of the pair."""
+        key = (state, action)
+        try:
+            return self._moves[key]
+        except KeyError:
+            pass
+        adef = self.actions[action]
+        move = None
+        if adef.precondition.accepts_bits(self.universe.encode(state).bits):
+            move = (self._cumulative[action], [frozenset(state - o.delete | o.add) for o in adef.outcomes])
+        self._moves[key] = move
+        return move
+
     def applicable(self, action: str, state: EnvState | None = None) -> bool:
         atoms = self._state if state is None else frozenset(state)
-        return self.actions[action].precondition.accepts_bits(self.universe.encode(atoms).bits)
+        return self._move(atoms, action) is not None
 
     def available_actions(self, state: EnvState | None = None) -> list[str]:
         atoms = self._state if state is None else frozenset(state)
-        bits = self.universe.encode(atoms).bits
-        return [n for n, a in self.actions.items() if a.precondition.accepts_bits(bits)]
+        return [n for n in self.actions if self._move(atoms, n) is not None]
 
     def step(self, action: str) -> EnvState:
         """Apply `action`; an inapplicable action leaves the state unchanged."""
-        adef = self.actions[action]
-        if not adef.precondition.accepts_bits(self.universe.encode(self._state).bits):
+        move = self._move(self._state, action)
+        if move is None:
             return self._state
-        chosen = adef.outcomes[bisect_right(self._cumulative[action], self._rng.random())]
-        self._state = frozenset(self._state - chosen.delete | chosen.add)
+        cum, successors = move
+        self._state = successors[bisect_right(cum, self._rng.random())]
         return self._state
 
     def rng_state(self):
@@ -113,12 +134,15 @@ class TableAgent:
     For each intent the table lists candidate primitives in priority order;
     the agent executes the first applicable one. If the intent already holds,
     or no candidate applies, it returns the trivial one-state trajectory.
+    The choice is made once per (simulator, start state, intent) and kept;
+    the trajectory always begins with the caller's `start` object.
     """
 
     def __init__(self, universe: AtomUniverse, table: Mapping[str, Sequence[str]]) -> None:
         self.universe = universe
         self.table: dict[str, tuple[str, ...]] = {k: tuple(v) for k, v in table.items()}
-        self._intent_keys: dict[LiteralConjunction, str] = {}
+        # (simulator, start, intent) -> the primitive `attempt` runs, or None
+        self._choices: dict[tuple[AtomSimulator, EnvState, LiteralConjunction], str | None] = {}
 
     def attempt(
         self,
@@ -127,20 +151,30 @@ class TableAgent:
         start: EnvState,
         horizon: int,
     ) -> list[EnvState]:
-        if simulator.current != start:
+        current = simulator.current
+        if current is not start and current != start:
             simulator.revert(start)
         traj = [start]
-        bits = self.universe.encode(frozenset(start)).bits
-        if intent.satisfied_by(bits) or horizon < 1:
+        if horizon < 1:
             return traj
-        key = self._intent_keys.get(intent)
-        if key is None:
-            key = self._intent_keys[intent] = literal_string(intent, self.universe)
-        for action in self.table.get(key, ()):
-            if simulator.applicable(action):
-                traj.append(simulator.step(action))
-                break
+        key = (simulator, start, intent)
+        try:
+            action = self._choices[key]
+        except KeyError:
+            action = self._choices[key] = self._choose(intent, simulator, start)
+        if action is not None:
+            traj.append(simulator.step(action))
         return traj
+
+    def _choose(self, intent: LiteralConjunction, simulator: AtomSimulator, start: EnvState) -> str | None:
+        """The first candidate applicable in `start`; None if the intent holds or none applies."""
+        u = self.universe
+        if intent.satisfied_by(u.encode(frozenset(start)).bits):
+            return None
+        for action in self.table.get(literal_string(intent, u), ()):
+            if simulator.applicable(action, start):
+                return action
+        return None
 
     def ground_truth(self, actions: Mapping[str, ActionDef]) -> CapabilityModel:
         """The capability model that `attempt` realizes over `actions`.

@@ -8,13 +8,13 @@ from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 from random import Random
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .abstraction import AbstractState, ConfigurationError
 from .dataset import Transition, TransitionDataset
 from .distributions import cumulative
 from .envs.base import EnvironmentBundle
-from .learner import execute_query
+from .learner import execute_query, tally_segments
 from .model import Capability, CapabilityModel, predict
 from .synthesis import Query, SequencePolicy
 
@@ -43,28 +43,33 @@ def generate_eval_dataset(
     """Drive the agent through uniform-random capability sequences from reset.
 
     Each episode is one run of `learner.execute_query` on its sequence; an
-    episode whose agent raised raises here. Returns the observed transitions
-    and the exact sequences used, so a model can replay them.
+    episode whose agent raised raises here. Returns the observed transitions,
+    recorded once per distinct transition with its count, and the exact
+    sequences used, so a model can replay them.
     """
     config.validate()
     rng = Random(f"{config.seed}/eval")
     names = sorted(capabilities)
     if not names:
         raise ConfigurationError("no capabilities to evaluate")
-    dataset = TransitionDataset()
     sequences: list[list[str]] = []
-    for episode in range(config.episodes):
-        seq = [rng.choice(names) for _ in range(rng.randint(config.min_len, config.max_len))]
-        sequences.append(seq)
-        query = Query(bundle.simulator.reset(), SequencePolicy(tuple(seq)), 1)
-        (result,) = execute_query(
-            bundle.agent, bundle.simulator, query, capabilities, bundle.abstraction,
-            theta, horizon, len(seq),
-        )
-        if result.error is not None:
-            raise RuntimeError(f"evaluation episode {episode}: {result.error}")
-        for cap_name, states in result.segments:
-            dataset.record(states, cap_name)
+
+    def segments() -> Iterator[tuple[str, list[AbstractState]]]:
+        for episode in range(config.episodes):
+            seq = [rng.choice(names) for _ in range(rng.randint(config.min_len, config.max_len))]
+            sequences.append(seq)
+            query = Query(bundle.simulator.reset(), SequencePolicy(tuple(seq)), 1)
+            (result,) = execute_query(
+                bundle.agent, bundle.simulator, query, capabilities, bundle.abstraction,
+                theta, horizon, len(seq),
+            )
+            if result.error is not None:
+                raise RuntimeError(f"evaluation episode {episode}: {result.error}")
+            yield from result.segments
+
+    dataset = TransitionDataset()
+    for cap_name, states, count in tally_segments(segments())[0]:
+        dataset.record(states, cap_name, count)
     return dataset, sequences
 
 

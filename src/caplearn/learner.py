@@ -14,7 +14,7 @@ import json
 import math
 import time
 from bisect import bisect_right
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from random import Random
 from typing import Callable, Iterable, Mapping, Sequence
@@ -174,6 +174,33 @@ def discover_capabilities(
             name = capability_name(intent, universe)
             caps[name] = Capability(name, intent)
     return caps
+
+
+def tally_segments(
+    segments: Iterable[tuple[str, Sequence[AbstractState]]],
+) -> tuple[list[list], list[Sequence[AbstractState]]]:
+    """Count segments by (first state, capability, last state), in first-occurrence order.
+
+    Returns `[capability, states, count]` per distinct triple, with its first
+    segment's states, and the state sequences `discover_capabilities` needs
+    to see every change the segments show: each first segment of more than
+    one state, and each later one of more than two, whose inner states the
+    triple does not fix.
+    """
+    tally: dict[tuple[AbstractState, str, AbstractState], list] = {}
+    moves: list[Sequence[AbstractState]] = []
+    for cap_name, states in segments:
+        key = (states[0], cap_name, states[-1])
+        entry = tally.get(key)
+        if entry is None:
+            tally[key] = [cap_name, states, 1]
+            if len(states) > 1:
+                moves.append(states)
+        else:
+            entry[2] += 1
+            if len(states) > 2:
+                moves.append(states)
+    return list(tally.values()), moves
 
 
 @dataclass
@@ -428,9 +455,6 @@ def run(
         failures = 0
         outcomes: list[tuple[object, int, AbstractState]] = []
         for res in results:
-            for cap_name, states in res.segments:
-                _, is_new = dataset.record(states, cap_name)
-                novel += int(is_new)
             executions += len(res.segments)
             if res.error is not None:
                 # The failed attempt may have moved the simulator.
@@ -439,9 +463,13 @@ def run(
                 final = res.segments[-1][1][-1] if res.segments else s0
             outcomes.append((res.final_state, x_i[1] + res.env_steps, final))
             failures += int(res.error is not None)
-        discovered = discover_capabilities(
-            [states for res in results for _, states in res.segments], universe
-        )
+        # One record per distinct transition keeps `novel`, every count and
+        # whether each capability's revision moved, as one per segment would.
+        tally, moves = tally_segments(seg for res in results for seg in res.segments)
+        for cap_name, states, count in tally:
+            _, is_new = dataset.record(states, cap_name, count)
+            novel += int(is_new)
+        discovered = discover_capabilities(moves, universe)
         for name, cap in discovered.items():
             if name not in capabilities:
                 capabilities[name] = cap
@@ -477,7 +505,7 @@ def run(
             observed_states=dataset.observed_state_count(),
         )
         log.records.append(record)
-        journal(asdict(record))
+        journal(vars(record))
         if checkpoint_hook is not None:
             checkpoint_hook(query_idx, m_pess, log, dataset)
 

@@ -19,22 +19,15 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from random import Random
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .abstraction import AbstractState, AtomUniverse
-from .distributions import cumulative, push_distribution, tv_distance
+from .distributions import cumulative, tv_distance
 from .model import CapabilityModel, predict
 
 # `synthesize_exact`'s random rollouts per new leaf, and children generated per node visit.
 EXACT_ROLLOUTS = 3
 EXPAND_PER_VISIT = 3
-
-
-def uct_score(q: float, log_n_parent: float, n_edge: int, kappa: float) -> float:
-    """UCT score given log N(parent); an unvisited edge ranks above every visited one."""
-    if n_edge == 0:
-        return math.inf
-    return q + kappa * math.sqrt(log_n_parent / n_edge)
 
 
 @dataclass(frozen=True)
@@ -104,20 +97,89 @@ def random_policy_query(
 
 
 class _DistNode:
-    __slots__ = ("dist_p", "dist_o", "reward", "children", "untried", "n", "n_edge", "q", "value")
+    """Tree position over one distribution pair, shared (one dict) or not.
+
+    `caps` and `children` list the generated children in order; `n_edge` and
+    `q` list the visited ones. Selection takes the first unvisited child, so
+    the visited children are always a prefix of `children`. `value` is the
+    reward (the rollout value, for a fresh leaf) until the first backup, and
+    `max(q)` from then on.
+    """
+
+    __slots__ = ("dist_p", "dist_o", "reward", "tried", "caps", "children", "n", "n_edge", "q", "value")
 
     def __init__(
-        self, dist_p: dict[AbstractState, float], dist_o: dict[AbstractState, float], caps: Sequence[str]
+        self, dist_p: dict[AbstractState, float], dist_o: dict[AbstractState, float], reward: float
     ) -> None:
         self.dist_p = dist_p
         self.dist_o = dist_o
-        self.reward = tv_distance(dist_p, dist_o)
-        self.children: dict[str, _DistNode] = {}
-        self.untried: list[str] = list(caps)
+        self.reward = reward
+        self.tried = 0  # the call's capabilities expanded here so far
+        self.caps: list[str] = []
+        self.children: list[_DistNode] = []
         self.n = 0
-        self.n_edge: dict[str, int] = {}
-        self.q: dict[str, float] = {}
-        self.value = self.reward
+        self.n_edge: list[int] = []
+        self.q: list[float] = []
+        self.value = reward
+
+
+class _PairTable:
+    """One call's predictions of a model pair under one capability, by state.
+
+    Each entry holds both models' `predict` results as item tuples and
+    whether the two are equal in content and order (the entry is shared).
+    """
+
+    __slots__ = ("m_pess", "m_opt", "capability", "entries")
+
+    def __init__(self, m_pess: CapabilityModel, m_opt: CapabilityModel, capability: str) -> None:
+        self.m_pess = m_pess
+        self.m_opt = m_opt
+        self.capability = capability
+        self.entries: dict[AbstractState, tuple[tuple, tuple, bool]] = {}
+
+    def entry(self, state: AbstractState) -> tuple[tuple, tuple, bool]:
+        got = self.entries.get(state)
+        if got is None:
+            p1 = tuple(predict(self.m_pess, state, self.capability).items())
+            p2 = tuple(predict(self.m_opt, state, self.capability).items())
+            got = self.entries[state] = (p1, p2, p1 == p2)
+        return got
+
+    def push_pair(
+        self, dist_p: dict[AbstractState, float], dist_o: dict[AbstractState, float]
+    ) -> tuple[dict[AbstractState, float], dict[AbstractState, float]]:
+        """Both models' one-step images of a distribution pair.
+
+        When `dist_p is dist_o` and every state's entry is shared, the two
+        images are one dict. Successors reached from several states have
+        their masses summed in the order they are first reached; a state no
+        condition accepts keeps its mass, and a product that underflows to
+        0.0 keeps its state.
+        """
+        entries, entry = self.entries, self.entry
+        rows_p = [entries.get(s) or entry(s) for s in dist_p]
+        if dist_p is dist_o:
+            for row in rows_p:
+                if not row[2]:
+                    break
+            else:
+                out = _image(dist_p.values(), rows_p, 0)
+                return out, out
+            rows_o = rows_p
+        else:
+            rows_o = [entries.get(s) or entry(s) for s in dist_o]
+        return _image(dist_p.values(), rows_p, 0), _image(dist_o.values(), rows_o, 1)
+
+
+def _image(masses: Iterable[float], rows: list[tuple], side: int) -> dict[AbstractState, float]:
+    """Sum `mass * p` over each state's row of successors, in first-reached order."""
+    out: dict[AbstractState, float] = {}
+    get = out.get
+    for mass, row in zip(masses, rows):
+        for s2, p in row[side]:
+            out[s2] = get(s2, 0.0) + mass * p
+    return out
 
 
 def synthesize_exact(
@@ -131,81 +193,113 @@ def synthesize_exact(
 ) -> SynthesisResult:
     """MCTS over exact distribution pairs, rewarded by total-variation distance.
 
-    Newly generated children whose support pair duplicates an existing node's
-    are pruned (the capability is dropped at that node), which also removes
-    no-op self edges. Values back up as node reward plus best child value,
-    undiscounted.
+    Each node visit generates up to `EXPAND_PER_VISIT` children, one per
+    capability in name order. A child whose support pair duplicates an
+    existing node's is pruned (the capability is dropped at that node), which
+    also removes no-op self edges. Selection takes the first unvisited child,
+    else the first maximum of `q + kappa * sqrt(log N / n)`. A new leaf's
+    value is the mean return of `EXACT_ROLLOUTS` random rollouts, whose
+    capabilities are drawn as `synthesize_sampled` draws them (the stream of
+    `rng.choice(caps)`). Values back up as node reward plus best child value,
+    undiscounted; `value` is kept incrementally as in `synthesize_sampled`.
+
+    Within one call each (capability, state) is predicted once per model. Its
+    table entry holds both predictions as item tuples and whether the two are
+    equal. A pair whose sides are one dict, pushed through entries that are
+    all equal, is pushed once and its children share one dict; the reward of
+    such a pair is 0.0, which is what `tv_distance(d, d)` returns. Every
+    distribution has the values and key order of a one-step image computed
+    state by state from `predict`, so the TV sums match term for term.
     """
     caps = sorted(set(m_pess.capabilities) | set(m_opt.capabilities))
     if not caps or iterations <= 0:
         return SynthesisResult(StatePolicy(()), 0.0)
-    root = _DistNode({s0: 1.0}, {s0: 1.0}, caps)
-    seen_supports = {(frozenset(root.dist_p), frozenset(root.dist_o))}
+    k, bits_k = len(caps), len(caps).bit_length()
+    getrandbits, sqrt = rng.getrandbits, math.sqrt
+    tables = [_PairTable(m_pess, m_opt, c) for c in caps]
 
-    def rollout_value(node: _DistNode, used_depth: int) -> float:
+    def rollout_value(node: _DistNode, steps: int) -> float:
         total = 0.0
         for _ in range(EXACT_ROLLOUTS):
             ret = node.reward
             dp, do = node.dist_p, node.dist_o
-            for _ in range(depth - used_depth):
-                cap = rng.choice(caps)
-                dp = push_distribution(dp, m_pess, cap)
-                do = push_distribution(do, m_opt, cap)
-                ret += tv_distance(dp, do)
+            for _ in range(steps):
+                c = getrandbits(bits_k)
+                while c >= k:
+                    c = getrandbits(bits_k)
+                dp, do = tables[c].push_pair(dp, do)
+                if dp is not do:
+                    ret += tv_distance(dp, do)
             total += ret
         return total / EXACT_ROLLOUTS
 
+    point = {s0: 1.0}
+    root = _DistNode(point, point, 0.0)
+    seen_supports = {(frozenset(point),) * 2}
+
     for _ in range(iterations):
         node = root
-        path: list[tuple[_DistNode, str, _DistNode]] = []
+        path: list[tuple[_DistNode, int, _DistNode]] = []
         fresh = None
         while len(path) < depth:
-            for _ in range(EXPAND_PER_VISIT):
-                if not node.untried:
-                    break
-                cap = node.untried.pop(0)
-                child_p = push_distribution(node.dist_p, m_pess, cap)
-                child_o = push_distribution(node.dist_o, m_opt, cap)
-                key = (frozenset(child_p), frozenset(child_o))
-                if key in seen_supports:
-                    continue
-                seen_supports.add(key)
-                node.children[cap] = _DistNode(child_p, child_o, caps)
-                node.n_edge[cap] = 0
-            if not node.children:
+            if node.tried < k:
+                stop = min(node.tried + EXPAND_PER_VISIT, k)
+                for j in range(node.tried, stop):
+                    child_p, child_o = tables[j].push_pair(node.dist_p, node.dist_o)
+                    support = frozenset(child_p)
+                    key = (support, support if child_o is child_p else frozenset(child_o))
+                    if key in seen_supports:
+                        continue
+                    seen_supports.add(key)
+                    reward = 0.0 if child_o is child_p else tv_distance(child_p, child_o)
+                    node.caps.append(caps[j])
+                    node.children.append(_DistNode(child_p, child_o, reward))
+                node.tried = stop
+            children, q = node.children, node.q
+            if len(q) < len(children):
+                fresh = children[len(q)]
+                path.append((node, len(q), fresh))
                 break
-            best_cap = None
-            best = -math.inf
-            log_n = math.log(max(node.n, 1))
-            for cap in node.children:
-                score = uct_score(node.q.get(cap, 0.0), log_n, node.n_edge[cap], kappa)
-                if score > best:
-                    best, best_cap = score, cap
-            child = node.children[best_cap]
-            path.append((node, best_cap, child))
-            if node.n_edge[best_cap] == 0:
-                fresh = child
+            if len(children) > 1:
+                log_n = math.log(node.n)
+                scores = [qi + kappa * sqrt(log_n / n) for qi, n in zip(q, node.n_edge)]
+                i = scores.index(max(scores))
+            elif children:
+                i = 0
+            else:
                 break
-            node = child
+            path.append((node, i, children[i]))
+            node = children[i]
         if fresh is not None:
-            fresh.value = rollout_value(fresh, len(path))
-        for parent, cap, child in reversed(path):
+            fresh.value = rollout_value(fresh, depth - len(path))
+        for parent, i, child in reversed(path):
             parent.n += 1
-            parent.n_edge[cap] += 1
-            parent.q[cap] = parent.reward + child.value
-            parent.value = max(parent.q.values())
+            q = parent.q
+            new = parent.reward + child.value
+            if i == len(q):
+                old = -math.inf
+                q.append(new)
+                parent.n_edge.append(1)
+            else:
+                old = q[i]
+                q[i] = new
+                parent.n_edge[i] += 1
+            if new >= parent.value or parent.n == 1:
+                parent.value = new
+            elif old == parent.value:
+                parent.value = max(q)
 
-    score = root.value if root.q else 0.0
+    score = root.value if root.n else 0.0
     mapping: dict[AbstractState, str] = {}
     node = root
     for _ in range(depth):
-        visited = {c: q for c, q in node.q.items() if node.n_edge.get(c, 0) > 0}
-        if not visited:
+        q, names = node.q, node.caps
+        if not q:
             break
-        best_cap = min(visited, key=lambda c: (-visited[c], c))
+        best = min(range(len(q)), key=lambda i: (-q[i], names[i]))
         for s in node.dist_p.keys() | node.dist_o.keys():
-            mapping.setdefault(s, best_cap)
-        node = node.children[best_cap]
+            mapping.setdefault(s, names[best])
+        node = node.children[best]
     return SynthesisResult(StatePolicy.from_dict(mapping), score)
 
 

@@ -8,6 +8,7 @@ operations, so agreement with the implementation is meaningful.
 from __future__ import annotations
 
 import copy
+import math
 import pickle
 from random import Random
 
@@ -21,7 +22,7 @@ from caplearn.abstraction import (
     build_universe,
 )
 from caplearn.dataset import EffectPair, Transition, TransitionDataset
-from caplearn.model import Capability, CapabilityModel, ConditionalEffectRule
+from caplearn.model import Capability, CapabilityModel, ConditionalEffectRule, predict
 
 
 @pytest.fixture
@@ -99,6 +100,28 @@ def draw(weighted, u):
         if u < acc:
             return item
     return weighted[-1][0]
+
+
+def push_distribution(dist, model: CapabilityModel, capability: str) -> dict[AbstractState, float]:
+    """Reference one-step image of `dist` under one capability of `model`.
+
+    Each state's successors come from `predict` (a state no condition
+    accepts keeps its mass); successors reached from several states have
+    their masses summed, in the order they are first reached. A product
+    that underflows to 0.0 keeps its state in the support.
+    """
+    out: dict[AbstractState, float] = {}
+    for state, q in dist.items():
+        for s2, p in predict(model, state, capability).items():
+            out[s2] = out.get(s2, 0.0) + q * p
+    return out
+
+
+def uct_score(q: float, log_n_parent: float, n_edge: int, kappa: float) -> float:
+    """Reference UCT score given log N(parent); an unvisited edge ranks above every visited one."""
+    if n_edge == 0:
+        return math.inf
+    return q + kappa * math.sqrt(log_n_parent / n_edge)
 
 
 def random_state(universe: AtomUniverse, rng: Random) -> AbstractState:

@@ -8,9 +8,17 @@ from hypothesis import strategies as st
 
 from caplearn.abstraction import AbstractState, Condition, LiteralConjunction, satisfies
 from caplearn.dataset import EffectPair
-from caplearn.distributions import cumulative, push_distribution, tv_distance
+from caplearn.distributions import cumulative, tv_distance
 from caplearn.model import ConditionalEffectRule, apply_effect, predict
-from .conftest import RULE_CAP, draw, random_rule, random_state, rule_model, small_universe
+from .conftest import (
+    RULE_CAP,
+    draw,
+    push_distribution,
+    random_rule,
+    random_state,
+    rule_model,
+    small_universe,
+)
 
 
 def dense_push_oracle(probs, rules, num_atoms):

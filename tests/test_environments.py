@@ -1,4 +1,5 @@
 import hashlib
+from bisect import bisect_right
 from collections import Counter
 from random import Random
 
@@ -17,6 +18,7 @@ from caplearn.envs import (
     vacuum_world,
 )
 from caplearn.envs.base import clause, dnf
+from caplearn.distributions import cumulative
 from caplearn.envs.roads import EDGES, LOCATIONS
 from caplearn.evaluation import reachable_states
 from caplearn.model import capability_name, entails, make_intent, model_to_json, predict
@@ -371,3 +373,116 @@ class TestDerivedGroundTruth:
                 sim.revert(atoms)
                 traj = b.agent.attempt(cap.intent, sim, atoms, 100)
                 assert entails(truth, Transition(s, cap.name, u.encode(traj[-1]))), (atoms, cap.name)
+
+
+def _reachable_env_states(sim):
+    """Every env state reachable from reset, by the uncached precondition test."""
+    u = sim.universe
+    seen = {sim.reset()}
+    frontier = list(seen)
+    while frontier:
+        atoms = frontier.pop()
+        for adef in sim.actions.values():
+            if adef.precondition.accepts_bits(u.encode(atoms).bits):
+                for o in adef.outcomes:
+                    nxt = frozenset(atoms - o.delete | o.add)
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        frontier.append(nxt)
+    return sorted(seen, key=lambda atoms: u.encode(atoms).bits)
+
+
+def _uncached_step(sim, atoms, action, rng):
+    """What `step(action)` from `atoms` yields, drawing from `rng`, computed afresh."""
+    adef = sim.actions[action]
+    if not adef.precondition.accepts_bits(sim.universe.encode(atoms).bits):
+        return atoms
+    cum = cumulative(o.prob for o in adef.outcomes)
+    chosen = adef.outcomes[bisect_right(cum, rng.random())]
+    return frozenset(atoms - chosen.delete | chosen.add)
+
+
+def _uncached_attempt(agent, intent, sim, start, horizon, rng):
+    """`TableAgent.attempt` computed afresh, its step drawing from `rng`."""
+    u = agent.universe
+    traj = [start]
+    if intent.satisfied_by(u.encode(start).bits) or horizon < 1:
+        return traj
+    for action in agent.table.get(literal_string(intent, u), ()):
+        if sim.actions[action].precondition.accepts_bits(u.encode(start).bits):
+            traj.append(_uncached_step(sim, start, action, rng))
+            break
+    return traj
+
+
+_WORLDS = {"vacuum": vacuum_world, "roads": road_world, "blocks": stochastic_blocks}
+
+
+class TestSimulatorAndAgentMemos:
+    @pytest.mark.parametrize("world", sorted(_WORLDS))
+    def test_applicable_and_step_match_uncached(self, world):
+        sim = _WORLDS[world](seed=world).simulator
+        states = _reachable_env_states(sim)
+        assert len(states) > 5
+        rng = Random(world)
+        for visit in range(2):  # the second visit of each pair reads the memo
+            for atoms in states:
+                bits = sim.universe.encode(atoms).bits
+                want_actions = [n for n, a in sim.actions.items() if a.precondition.accepts_bits(bits)]
+                assert sim.available_actions(atoms) == want_actions
+                for action in sim.actions:
+                    precondition = sim.actions[action].precondition
+                    want = precondition.accepts_bits(sim.universe.encode(atoms).bits)
+                    assert sim.applicable(action, atoms) is want
+                    sim.revert(atoms)
+                    assert sim.applicable(action) is want
+                    before = Random(rng.random()).getstate()
+                    sim.set_rng_state(before)
+                    ref = Random()
+                    ref.setstate(before)
+                    got = sim.step(action)
+                    assert got == _uncached_step(sim, atoms, action, ref)
+                    assert sim.current is got
+                    assert sim.rng_state() == ref.getstate()
+
+    @pytest.mark.parametrize("world", sorted(_WORLDS))
+    def test_attempt_matches_uncached_agent(self, world):
+        b = _WORLDS[world](seed=world)
+        sim, agent = b.simulator, b.agent
+        intents = [make_intent(key, b.universe) for key in sorted(agent.table)]
+        states = _reachable_env_states(sim)
+        rng = Random(world)
+        for visit in range(2):
+            for i, atoms in enumerate(states):
+                for intent in intents:
+                    # Start away from `atoms` half the time, so `attempt` must revert.
+                    sim.revert(states[i - 1] if rng.random() < 0.5 else atoms)
+                    start = frozenset(set(atoms)) if visit else atoms
+                    before = Random(rng.random()).getstate()
+                    sim.set_rng_state(before)
+                    ref = Random()
+                    ref.setstate(before)
+                    traj = agent.attempt(intent, sim, start, 100)
+                    assert traj == _uncached_attempt(agent, intent, sim, start, 100, ref)
+                    assert traj[0] is start
+                    assert sim.current == traj[-1]
+                    assert sim.rng_state() == ref.getstate()
+                    assert agent.attempt(intent, sim, start, 0) == [start]
+
+    def test_one_agent_keeps_each_simulators_choices(self):
+        b = vacuum_world(seed=0)
+        u, agent = b.universe, b.agent
+        grab = b.simulator.actions["grab"]
+        never = ActionDef("grab", dnf(u, []), grab.outcomes)
+        always = ActionDef("grab", dnf(u, [clause(u)]), grab.outcomes)
+        others = [a for name, a in b.simulator.actions.items() if name != "grab"]
+        reset = b.simulator.reset()
+        sims = [b.simulator, AtomSimulator(u, reset, [never, *others]), AtomSimulator(u, reset, [always, *others])]
+        intent = make_intent("has(robot,vacuum)", u)
+        for atoms in _reachable_env_states(b.simulator) * 2:
+            for sim in sims:
+                ref = Random()
+                ref.setstate(sim.rng_state())
+                traj = agent.attempt(intent, sim, atoms, 100)
+                assert traj == _uncached_attempt(agent, intent, sim, atoms, 100, ref)
+                assert sim.rng_state() == ref.getstate()

@@ -5,6 +5,8 @@ from dataclasses import asdict
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import caplearn.learner as learner_module
 from caplearn.abstraction import ConfigurationError, LiteralConjunction, build_universe
@@ -21,6 +23,7 @@ from caplearn.learner import (
     run,
     run_capability,
     sample_initial_state,
+    tally_segments,
 )
 from caplearn.model import (
     build_models,
@@ -175,6 +178,73 @@ class TestDiscoverCapabilities:
         cap = caps["achieve__!charged(robot)"]
         assert cap.intent.negatives == b.universe.mask_of(["charged(robot)"])
         assert cap.intent.positives == 0
+
+
+_TALLY_UNIVERSE = build_universe(
+    {"clean": ["room"], "at": ["room"], "holding": ["item"]},
+    {"l1": "room", "l2": "room", "key": "item"},
+)
+
+
+def _random_segments(rng, n, caps=("a", "b", "c")):
+    """Segments of 1-4 abstract states over few states, so triples repeat."""
+    u = _TALLY_UNIVERSE
+    pool = [u.encode(names) for names in ([], ["clean(l1)"], ["at(l2)"], ["holding(key)", "at(l1)"],
+                                          ["clean(l1)", "clean(l2)"])]
+    segments = []
+    for _ in range(n):
+        states = [rng.choice(pool) for _ in range(rng.randint(1, 4))]
+        segments.append((rng.choice(caps), states))
+    return segments
+
+
+class TestTallySegments:
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=150, deadline=None)
+    def test_same_dataset_as_one_record_per_segment(self, seed):
+        rng = Random(seed)
+        prior = _random_segments(rng, rng.randint(0, 12))
+        queries = [_random_segments(rng, rng.randint(0, 25)) for _ in range(3)]
+        one, tallied = TransitionDataset(), TransitionDataset()
+        for cap_name, states in prior:
+            one.record(states, cap_name)
+            tallied.record(states, cap_name)
+        for segments in queries:
+            caps = sorted({c for c, _ in prior + segments} | {"unseen"})
+            rev_one = {c: one.revision(c) for c in caps}
+            rev_tallied = {c: tallied.revision(c) for c in caps}
+            novel_one = sum(int(one.record(states, c)[1]) for c, states in segments)
+            tally, _ = tally_segments(segments)
+            novel_tallied = sum(int(tallied.record(states, c, n)[1]) for c, states, n in tally)
+            assert novel_tallied == novel_one
+            assert sum(n for _, _, n in tally) == len(segments)
+            assert list(tallied.counts.items()) == list(one.counts.items())
+            for c in caps:
+                assert list(tallied.observed_states(c)) == list(one.observed_states(c))
+                assert (tallied.revision(c) != rev_tallied[c]) == (one.revision(c) != rev_one[c])
+            states = {s for _, seq in prior + segments for s in seq}
+            for s in states:
+                assert tallied.state_visit_count(s) == one.state_visit_count(s)
+            assert tallied.observed_state_count() == one.observed_state_count()
+
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=150, deadline=None)
+    def test_discovery_over_distinct_moves(self, seed):
+        rng = Random(seed)
+        segments = _random_segments(rng, rng.randint(0, 30))
+        _, moves = tally_segments(segments)
+        assert all(len(states) > 1 for states in moves)
+        got = discover_capabilities(moves, _TALLY_UNIVERSE)
+        want = discover_capabilities([states for _, states in segments], _TALLY_UNIVERSE)
+        assert list(got.items()) == list(want.items())
+
+    def test_first_occurrence_order_and_counts(self):
+        u = _TALLY_UNIVERSE
+        s0, s1, s2 = u.encode([]), u.encode(["clean(l1)"]), u.encode(["at(l1)"])
+        segments = [("a", [s0, s1]), ("b", [s0]), ("a", [s0, s2, s1]), ("a", [s1, s0]), ("b", [s0])]
+        tally, moves = tally_segments(segments)
+        assert tally == [["a", [s0, s1], 2], ["b", [s0], 2], ["a", [s1, s0], 1]]
+        assert moves == [[s0, s1], [s0, s2, s1], [s1, s0]]
 
 
 class TestExecuteQuery:

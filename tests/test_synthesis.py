@@ -3,11 +3,13 @@ import math
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caplearn import synthesis
 from caplearn.abstraction import AbstractState, Condition, LiteralConjunction, literal_of
 from caplearn.dataset import EffectPair, Transition, TransitionDataset
-from caplearn.distributions import push_distribution, tv_distance
+from caplearn.distributions import tv_distance
 from caplearn.envs import road_world, stochastic_blocks, vacuum_world
 from caplearn.evaluation import ground_truth_transitions, reachable_states
 from caplearn.learner import LearnerConfig, run
@@ -26,9 +28,17 @@ from caplearn.synthesis import (
     random_policy_query,
     synthesize_exact,
     synthesize_sampled,
+)
+from .conftest import (
+    RULE_CAP,
+    draw,
+    push_distribution,
+    random_rule,
+    random_state,
+    rule_model,
+    small_universe,
     uct_score,
 )
-from .conftest import draw, small_universe
 
 
 class TestUctScore:
@@ -541,6 +551,229 @@ class TestSynthesizeSampledReference:
             synthesize_sampled(s0, m_pess, m_opt, 300, math.sqrt(2), 6, Random(1))
             assert calls
             assert max(calls.values()) == 1
+
+
+class _RefDistNode:
+    __slots__ = ("dist_p", "dist_o", "reward", "children", "untried", "n", "n_edge", "q", "value")
+
+    def __init__(self, dist_p, dist_o, caps):
+        self.dist_p = dist_p
+        self.dist_o = dist_o
+        self.reward = tv_distance(dist_p, dist_o)
+        self.children = {}
+        self.untried = list(caps)
+        self.n = 0
+        self.n_edge = {}
+        self.q = {}
+        self.value = self.reward
+
+
+def _reference_synthesize_exact(s0, m_pess, m_opt, iterations, kappa, depth, rng):
+    """Exact MCTS pushing each side through the reference `push_distribution`.
+
+    Every child, rollout step and reward is computed afresh from `predict`,
+    each UCT choice goes through `uct_score`, each rollout capability
+    through `rng.choice`, and every backup recomputes `max(q)`.
+    """
+    caps = sorted(set(m_pess.capabilities) | set(m_opt.capabilities))
+    if not caps or iterations <= 0:
+        return SynthesisResult(StatePolicy(()), 0.0)
+    root = _RefDistNode({s0: 1.0}, {s0: 1.0}, caps)
+    seen_supports = {(frozenset(root.dist_p), frozenset(root.dist_o))}
+
+    def rollout_value(node, used_depth):
+        total = 0.0
+        for _ in range(synthesis.EXACT_ROLLOUTS):
+            ret = node.reward
+            dp, do = node.dist_p, node.dist_o
+            for _ in range(depth - used_depth):
+                cap = rng.choice(caps)
+                dp = push_distribution(dp, m_pess, cap)
+                do = push_distribution(do, m_opt, cap)
+                ret += tv_distance(dp, do)
+            total += ret
+        return total / synthesis.EXACT_ROLLOUTS
+
+    for _ in range(iterations):
+        node = root
+        path = []
+        fresh = None
+        while len(path) < depth:
+            for _ in range(synthesis.EXPAND_PER_VISIT):
+                if not node.untried:
+                    break
+                cap = node.untried.pop(0)
+                child_p = push_distribution(node.dist_p, m_pess, cap)
+                child_o = push_distribution(node.dist_o, m_opt, cap)
+                key = (frozenset(child_p), frozenset(child_o))
+                if key in seen_supports:
+                    continue
+                seen_supports.add(key)
+                node.children[cap] = _RefDistNode(child_p, child_o, caps)
+                node.n_edge[cap] = 0
+            if not node.children:
+                break
+            best_cap = None
+            best = -math.inf
+            log_n = math.log(max(node.n, 1))
+            for cap in node.children:
+                score = uct_score(node.q.get(cap, 0.0), log_n, node.n_edge[cap], kappa)
+                if score > best:
+                    best, best_cap = score, cap
+            child = node.children[best_cap]
+            path.append((node, best_cap, child))
+            if node.n_edge[best_cap] == 0:
+                fresh = child
+                break
+            node = child
+        if fresh is not None:
+            fresh.value = rollout_value(fresh, len(path))
+        for parent, cap, child in reversed(path):
+            parent.n += 1
+            parent.n_edge[cap] += 1
+            parent.q[cap] = parent.reward + child.value
+            parent.value = max(parent.q.values())
+
+    score = root.value if root.q else 0.0
+    mapping = {}
+    node = root
+    for _ in range(depth):
+        visited = {c: q for c, q in node.q.items() if node.n_edge.get(c, 0) > 0}
+        if not visited:
+            break
+        best_cap = min(visited, key=lambda c: (-visited[c], c))
+        for s in node.dist_p.keys() | node.dist_o.keys():
+            mapping.setdefault(s, best_cap)
+        node = node.children[best_cap]
+    return SynthesisResult(StatePolicy.from_dict(mapping), score)
+
+
+def _assert_exact_same_as_reference(s0, m_pess, m_opt, iterations, kappa, depth, seed):
+    rng_new, rng_ref = Random(seed), Random(seed)
+    got = synthesize_exact(s0, m_pess, m_opt, iterations, kappa, depth, rng_new)
+    want = _reference_synthesize_exact(s0, m_pess, m_opt, iterations, kappa, depth, rng_ref)
+    assert got.policy.mapping == want.policy.mapping
+    assert got.score == want.score
+    assert rng_new.getstate() == rng_ref.getstate()
+    return got
+
+
+class TestSynthesizeExactReference:
+    @pytest.mark.parametrize("depth", [1, 2, 6])
+    @pytest.mark.parametrize("kappa", [0.0, 0.3, math.sqrt(2)])
+    def test_toy_pairs(self, depth, kappa):
+        toys = [_toy_support_difference_models(), _falling_best_edge_models(),
+                _always_applicable_models(3), _always_applicable_models(17)]
+        for t, (u, s0, m1, m2) in enumerate(toys):
+            for seed in range(2):
+                _assert_exact_same_as_reference(s0, m1, m2, 120, kappa, depth, f"{t}/{seed}")
+
+    def test_withheld_vacuum_pair(self):
+        b, withheld, m_pess, m_opt = _withheld_vacuum_models()
+        start = b.abstraction(b.simulator.reset())
+        for s0 in (start, withheld):
+            for depth in (1, 3, 6):
+                got = _assert_exact_same_as_reference(s0, m_pess, m_opt, 300, math.sqrt(2), depth, depth)
+        assert got.score > 0.0
+
+    @pytest.mark.parametrize("env,seed", [
+        ("vacuum", 0), ("vacuum", 1), ("roads", 0), ("roads", 1), ("blocks", 0), ("blocks", 1),
+    ])
+    def test_learned_model_pairs(self, learned_pairs, env, seed):
+        starts, pairs = learned_pairs(env, seed)
+        scored = 0
+        for m_pess, m_opt in pairs:
+            for k, s0 in enumerate(starts):
+                for depth in (1, 4):
+                    got = _assert_exact_same_as_reference(
+                        s0, m_pess, m_opt, 60, math.sqrt(2), depth, f"{env}/{seed}/{k}/{depth}"
+                    )
+                    scored += got.score > 0.0
+        assert scored
+
+    @pytest.mark.parametrize("env", ["vacuum", "roads", "blocks"])
+    @pytest.mark.parametrize("kappa", [0.0, 5e-324, 0.3, 1e6])
+    def test_kappa_range(self, learned_pairs, env, kappa):
+        starts, pairs = learned_pairs(env, 0)
+        m_pess, m_opt = pairs[-1]
+        for k, s0 in enumerate(starts[:2]):
+            _assert_exact_same_as_reference(s0, m_pess, m_opt, 80, kappa, 3, f"{kappa}/{k}")
+
+    def test_few_iterations(self, learned_pairs):
+        starts, pairs = learned_pairs("roads", 0)
+        for m_pess, m_opt in pairs:
+            for iterations in (1, 2, 7):
+                _assert_exact_same_as_reference(starts[0], m_pess, m_opt, iterations, 0.0, 6, "f")
+
+    @pytest.mark.parametrize("env", ["roads", "blocks"])
+    def test_predict_once_per_model_state_and_capability(self, learned_pairs, env, monkeypatch):
+        starts, pairs = learned_pairs(env, 0)
+        m_pess, m_opt = pairs[-1]
+        calls: dict[tuple[str, int, str], int] = {}
+
+        def counting_predict(model, state, capability):
+            key = (model.flavor, state.bits, capability)
+            calls[key] = calls.get(key, 0) + 1
+            return predict(model, state, capability)
+
+        monkeypatch.setattr(synthesis, "predict", counting_predict)
+        for s0 in starts:
+            calls.clear()
+            synthesize_exact(s0, m_pess, m_opt, 100, math.sqrt(2), 4, Random(1))
+            assert calls
+            assert max(calls.values()) == 1
+
+
+def _partly_shared_pair(seed):
+    """A random pair over one capability that agrees on some states only.
+
+    The optimistic model puts one extra rule first; the states its condition
+    accepts may get a different successor distribution.
+    """
+    rng = Random(seed)
+    u = small_universe(rng.randint(2, 6))
+    rules = tuple(random_rule(u.num_atoms, rng) for _ in range(rng.randint(1, 3)))
+    extra = random_rule(u.num_atoms, rng)
+    return u, rng, rule_model(u, rules), rule_model(u, (extra,) + rules)
+
+
+def _random_distribution(u, rng):
+    dist = {}
+    for _ in range(rng.randint(1, 6)):
+        dist[random_state(u, rng)] = rng.random() + 0.01
+    return dist
+
+
+class TestPairPush:
+    @given(st.integers(0, 10**9), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_two_reference_pushes(self, seed, one_dict):
+        u, rng, m_pess, m_opt = _partly_shared_pair(seed)
+        table = synthesis._PairTable(m_pess, m_opt, RULE_CAP)
+        dp = _random_distribution(u, rng)
+        do = dp if one_dict else dict(reversed(_random_distribution(u, rng).items()))
+        for _ in range(4):
+            got_p, got_o = table.push_pair(dp, do)
+            want_p = push_distribution(dp, m_pess, RULE_CAP)
+            want_o = push_distribution(do, m_opt, RULE_CAP)
+            assert list(got_p.items()) == list(want_p.items())
+            assert list(got_o.items()) == list(want_o.items())
+            shared = all(predict(m_pess, s, RULE_CAP) == predict(m_opt, s, RULE_CAP)
+                         and list(predict(m_pess, s, RULE_CAP)) == list(predict(m_opt, s, RULE_CAP))
+                         for s in dp)
+            assert (got_p is got_o) == (dp is do and shared)
+            dp, do = got_p, got_o
+
+    def test_partly_shared_pairs_occur(self):
+        # The generator above must reach both outcomes of the shared check.
+        outcomes = set()
+        for seed in range(200):
+            u, rng, m_pess, m_opt = _partly_shared_pair(seed)
+            table = synthesis._PairTable(m_pess, m_opt, RULE_CAP)
+            dist = _random_distribution(u, rng)
+            flags = {table.entry(s)[2] for s in dist}
+            outcomes.add(frozenset(flags))
+        assert frozenset({True, False}) in outcomes
 
 
 class TestPolicyTypes:
