@@ -9,7 +9,6 @@ from .abstraction import (
     EncodingError,
     GroundAtom,
     LiteralConjunction,
-    build_universe,
     literal_of,
     satisfies,
 )

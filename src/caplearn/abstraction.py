@@ -76,9 +76,6 @@ class AbstractState(_StateFields):
             raise DimensionError(f"bits 0x{bits:x} exceed {num_atoms} atoms")
         return tuple.__new__(cls, (bits, num_atoms))
 
-    def atom_indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.num_atoms) if self.bits >> i & 1)
-
 
 class _LiteralFields(NamedTuple):
     positives: int
@@ -192,7 +189,6 @@ class AtomUniverse:
         if len(self.index) != len(self.atoms):
             raise ConfigurationError("duplicate ground atoms (duplicate object names?)")
         self.num_atoms = len(self.atoms)
-        self.full_mask = (1 << self.num_atoms) - 1
         self._names: tuple[str, ...] = tuple(str(a) for a in atoms)
         self._index_of_name: dict[str, int] = {n: i for i, n in enumerate(self._names)}
         self._encoded: dict[frozenset, AbstractState] = {}
@@ -216,11 +212,6 @@ class AtomUniverse:
         if got is None:
             got = self._encoded[atoms] = AbstractState(self.mask_of(atoms), self.num_atoms)
         return got
-
-    def decode(self, state: AbstractState) -> tuple[GroundAtom, ...]:
-        if state.num_atoms != self.num_atoms:
-            raise DimensionError("state does not belong to this universe")
-        return tuple(self.atoms[i] for i in state.atom_indices())
 
     def atom_names(self, state: AbstractState) -> list[str]:
         if state.num_atoms != self.num_atoms:
@@ -249,14 +240,6 @@ class AtomUniverse:
 
 
 AbstractionFn = Callable[[object], AbstractState]
-
-
-def build_universe(
-    predicates: Mapping[str, Sequence[str]] | Iterable[tuple[str, Sequence[str]]],
-    objects: Mapping[str, str] | Iterable[tuple[str, str]],
-) -> AtomUniverse:
-    """Ground all well-typed atoms over the given vocabulary, in canonical order."""
-    return AtomUniverse(predicates, objects)
 
 
 def literal_of(state: AbstractState) -> LiteralConjunction:

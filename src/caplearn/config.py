@@ -8,7 +8,7 @@ import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .abstraction import AtomUniverse, ConfigurationError, build_universe
+from .abstraction import AtomUniverse, ConfigurationError
 from .envs import EnvironmentBundle, make_environment
 from .evaluation import EvalConfig
 from .learner import LearnerConfig
@@ -98,17 +98,13 @@ def parse_config(doc: dict) -> RunConfig:
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ConfigurationError("seed must be an integer")
 
-    learner_doc = doc.get("learner", {})
-    if not isinstance(learner_doc, dict):
-        raise ConfigurationError("learner must be an object")
-    learner = LearnerConfig(**_typed("learner", learner_doc, LearnerConfig), seed=seed)
-    learner.validate()
-
-    eval_doc = doc.get("evaluation", {})
-    if not isinstance(eval_doc, dict):
-        raise ConfigurationError("evaluation must be an object")
-    evaluation = EvalConfig(**_typed("evaluation", eval_doc, EvalConfig), seed=seed)
-    evaluation.validate()
+    sections = {}
+    for name, cls in (("learner", LearnerConfig), ("evaluation", EvalConfig)):
+        section_doc = doc.get(name, {})
+        if not isinstance(section_doc, dict):
+            raise ConfigurationError(f"{name} must be an object")
+        section = sections[name] = cls(**_typed(name, section_doc, cls), seed=seed)
+        section.validate()
 
     universe = doc.get("universe", "builtin")
     if universe != "builtin" and not isinstance(universe, dict):
@@ -122,8 +118,7 @@ def parse_config(doc: dict) -> RunConfig:
         environment=env["name"],
         env_params=params,
         universe=universe,
-        learner=learner,
-        evaluation=evaluation,
+        **sections,
         output_dir=output_dir,
         seed=seed,
     )
@@ -140,14 +135,6 @@ def load_config(path: str | Path) -> RunConfig:
     return parse_config(doc)
 
 
-def build_universe_from_definition(definition: dict) -> AtomUniverse:
-    """Build a universe from the config's inline definition."""
-    for key in ("objects", "predicates"):
-        if key not in definition or not isinstance(definition[key], dict):
-            raise ConfigurationError(f"universe definition needs object map {key!r}")
-    return build_universe(definition["predicates"], definition["objects"])
-
-
 def make_bundle(config: RunConfig) -> EnvironmentBundle:
     """Instantiate the configured environment, checking any inline universe."""
     try:
@@ -156,8 +143,12 @@ def make_bundle(config: RunConfig) -> EnvironmentBundle:
         )
     except TypeError as exc:
         raise ConfigurationError(f"bad environment params: {exc}") from exc
-    if isinstance(config.universe, dict):
-        declared = build_universe_from_definition(config.universe)
+    definition = config.universe
+    if isinstance(definition, dict):
+        for key in ("objects", "predicates"):
+            if not isinstance(definition.get(key), dict):
+                raise ConfigurationError(f"universe definition needs object map {key!r}")
+        declared = AtomUniverse(definition["predicates"], definition["objects"])
         if declared.atoms != bundle.universe.atoms:
             raise ConfigurationError(
                 "inline universe does not match the built-in environment's atom set"

@@ -23,10 +23,11 @@ from ..abstraction import (
     ConfigurationError,
     LiteralConjunction,
     literal_string,
+    parse_literal,
 )
 from ..dataset import EffectPair
 from ..distributions import cumulative
-from ..model import Capability, CapabilityModel, ConditionalEffectRule, capability_name, make_intent
+from ..model import Capability, CapabilityModel, ConditionalEffectRule, capability_name
 
 EnvState = frozenset
 
@@ -191,7 +192,7 @@ class TableAgent:
         u = self.universe
         caps: dict[str, Capability] = {}
         for key, candidates in self.table.items():
-            intent = make_intent(key, u)
+            intent = parse_literal(key, u)
             # `attempt` finds a key by its canonical rendering; any other
             # spelling would be a capability the agent never performs.
             if intent.touched.bit_count() != 1 or literal_string(intent, u) != key:

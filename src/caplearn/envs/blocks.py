@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from ..abstraction import ConfigurationError, build_universe
+from ..abstraction import AtomUniverse, ConfigurationError
 from .base import ActionDef, ActionOutcome, AtomSimulator, EnvironmentBundle, TableAgent, clause, dnf
 
 
@@ -19,7 +19,7 @@ def stochastic_blocks(n_blocks: int = 3, slip: float = 0.25, seed: int | str = 0
     if not 0.0 <= slip < 1.0:
         raise ConfigurationError(f"slip must be in [0, 1), got {slip}")
     blocks = [f"b{i}" for i in range(1, n_blocks + 1)]
-    universe = build_universe(
+    universe = AtomUniverse(
         predicates={
             "on": ["block", "block"],
             "ontable": ["block"],

@@ -8,7 +8,7 @@ lollipop (l1 feeds a 5-cycle), so l1 is unreachable from everywhere else.
 
 from __future__ import annotations
 
-from ..abstraction import build_universe
+from ..abstraction import AtomUniverse
 from .base import ActionDef, ActionOutcome, AtomSimulator, EnvironmentBundle, TableAgent, clause, dnf
 
 LOCATIONS = ["l1", "l2", "l3", "l4", "l5", "l6"]
@@ -28,7 +28,7 @@ def _spare(loc: str) -> str:
 
 
 def road_world(seed: int | str = 0) -> EnvironmentBundle:
-    universe = build_universe(
+    universe = AtomUniverse(
         predicates={
             "at": ["location"],
             "flat": ["tire"],

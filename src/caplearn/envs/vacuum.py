@@ -7,7 +7,7 @@ clean while ending up on the dock (0.25), or just drain the battery (0.25).
 
 from __future__ import annotations
 
-from ..abstraction import build_universe
+from ..abstraction import AtomUniverse
 from .base import ActionDef, ActionOutcome, AtomSimulator, EnvironmentBundle, TableAgent, clause, dnf
 
 CHARGED = "charged(robot)"
@@ -36,7 +36,7 @@ def _clean_action(universe, room: str) -> ActionDef:
 
 
 def vacuum_world(seed: int | str = 0) -> EnvironmentBundle:
-    universe = build_universe(
+    universe = AtomUniverse(
         predicates={
             "charged": ["agent"],
             "at": ["dock", "agent"],

@@ -16,7 +16,7 @@ from .distributions import cumulative
 from .envs.base import EnvironmentBundle
 from .learner import execute_query, tally_segments
 from .model import Capability, CapabilityModel, predict
-from .synthesis import Query, SequencePolicy
+from .synthesis import random_policy_query
 
 
 @dataclass
@@ -56,12 +56,12 @@ def generate_eval_dataset(
 
     def segments() -> Iterator[tuple[str, list[AbstractState]]]:
         for episode in range(config.episodes):
-            seq = [rng.choice(names) for _ in range(rng.randint(config.min_len, config.max_len))]
-            sequences.append(seq)
-            query = Query(bundle.simulator.reset(), SequencePolicy(tuple(seq)), 1)
+            length = rng.randint(config.min_len, config.max_len)
+            query = random_policy_query(bundle.simulator.reset(), names, length, 1, rng)
+            sequences.append(list(query.policy.sequence))
             (result,) = execute_query(
                 bundle.agent, bundle.simulator, query, capabilities, bundle.abstraction,
-                theta, horizon, len(seq),
+                theta, horizon, length,
             )
             if result.error is not None:
                 raise RuntimeError(f"evaluation episode {episode}: {result.error}")
@@ -158,7 +158,7 @@ def ground_truth_transitions(
     """All non-zero-probability transitions of `truth` from the given states."""
     out = []
     for s in states:
-        for c in truth.capability_names():
+        for c in sorted(truth.capabilities):
             for s2 in sorted(predict(truth, s, c), key=lambda x: x.bits):
                 out.append(Transition(s, c, s2))
     return out

@@ -131,7 +131,8 @@ class RunLog:
 def random_walk(simulator, steps: int, rng: Random) -> list:
     """Uniform-random low-level actions from the reset state.
 
-    Stops early if no action applies (environment dead end).
+    Draws from `available_actions()`, which lists them in name order. Stops
+    early if no action applies (environment dead end).
     """
     if steps < 0:
         raise ConfigurationError("steps must be >= 0")
@@ -140,7 +141,7 @@ def random_walk(simulator, steps: int, rng: Random) -> list:
         actions = simulator.available_actions()
         if not actions:
             break
-        traj.append(simulator.step(rng.choice(sorted(actions))))
+        traj.append(simulator.step(rng.choice(actions)))
     return traj
 
 
@@ -261,32 +262,27 @@ def execute_query(
 ) -> list[RunResult]:
     """Run the query's policy `n` times from its initial state.
 
-    Each step looks up the capability for the current abstract state (or the
-    next sequence element), hands its intent to the agent, and stops when the
-    policy is undefined or exhausted. Agent exceptions are captured per run.
+    Each step takes the next sequence element (or, for a state policy, the
+    capability for the current abstract state, at most `max_policy_steps`
+    times), hands its intent to the agent, and stops when the policy is
+    undefined or exhausted. Agent exceptions are captured per run.
     """
     if query.n < 1:
         raise ConfigurationError("query repetition count must be >= 1")
     start = abstraction(query.x0)
+    policy = query.policy
+    sequence = policy.sequence if isinstance(policy, SequencePolicy) else None
+    length = len(sequence) if sequence is not None else max_policy_steps
     results: list[RunResult] = []
     for _ in range(query.n):
         simulator.revert(query.x0)
         segments: list[tuple[str, list[AbstractState]]] = []
+        # The agent leaves the simulator where the last segment ended.
+        state = start
         steps = 0
         error = None
-        if isinstance(query.policy, SequencePolicy):
-            plan: Iterable[str | None] = query.policy.sequence
-        else:
-            plan = (None for _ in range(max_policy_steps))
-        for planned in plan:
-            # The agent leaves the simulator where the last segment ended.
-            state = segments[-1][1][-1] if segments else start
-            if planned is None:
-                cap_name = query.policy.lookup(state)
-                if cap_name is None:
-                    break
-            else:
-                cap_name = planned
+        for k in range(length):
+            cap_name = sequence[k] if sequence is not None else policy.lookup(state)
             cap = capabilities.get(cap_name)
             if cap is None:
                 break
@@ -299,6 +295,7 @@ def execute_query(
                 break
             segments.append((cap_name, states))
             steps += env_steps
+            state = states[-1]
         results.append(RunResult(segments, simulator.current, steps, error))
     return results
 
@@ -317,9 +314,10 @@ def sample_initial_state(
     Outcomes and the previous start come as `(env state, distance, abstract
     state)`; only the reset state is abstracted here. Sampling weight is
     inversely proportional to how often a state has been an observed
-    transition source. The reset state always competes in the pool, so
-    saturated regions are eventually abandoned; outcomes that ended beyond
-    the step horizon fall back to reset outright.
+    transition source. Outcomes (and a previous start) that ended beyond the
+    step horizon leave the pool. The reset state always competes in it, so
+    saturated regions are eventually abandoned; when no candidate other than
+    the previous start remains, the next start is the reset state.
     """
     candidates: dict[AbstractState, tuple[object, int]] = {}
     for env_state, distance, state in [*outcomes, previous_initial]:
@@ -327,10 +325,9 @@ def sample_initial_state(
             continue
         candidates.setdefault(state, (env_state, distance))
 
-    prev_abs = previous_initial[2]
-    if not candidates or set(candidates) == {prev_abs}:
-        return simulator.reset(), 0
     reset_state = simulator.reset()
+    if not candidates or set(candidates) == {previous_initial[2]}:
+        return reset_state, 0
     candidates.setdefault(abstraction(reset_state), (reset_state, 0))
 
     ordered = sorted(candidates.items(), key=lambda kv: kv[0].bits)
@@ -392,7 +389,7 @@ def run(
 
     x_i: tuple[object, int] = (simulator.reset(), 0)
     log = RunLog()
-    novel_history: list[int] = []
+    quiet_queries = 0  # queries since the last one that found something new
     query_idx = 0
 
     def stop_reason() -> str | None:
@@ -403,10 +400,7 @@ def run(
             and time.monotonic() - started >= config.wall_clock_budget
         ):
             return "wall_clock"
-        if (
-            len(novel_history) >= config.early_stop_window
-            and not any(novel_history[-config.early_stop_window :])
-        ):
+        if quiet_queries >= config.early_stop_window:
             return "early_stop"
         if not capabilities:
             return "no_capabilities"
@@ -423,25 +417,20 @@ def run(
         marks = [time.perf_counter()]  # one more at the end of each phase
         if config.variant == "random":
             source = "random"
-            query = random_policy_query(
-                x_i[0], list(capabilities), config.random_policy_length,
-                config.runs_per_query, policy_rng,
-            )
         else:
             synthesize = synthesize_exact if config.variant == "exact" else synthesize_sampled
             result = synthesize(
                 s0, m_pess, m_opt, config.mcts_iterations, config.kappa, config.depth, synth_rng
             )
             score = result.score
-            if result.score > 0.0 and result.policy.mapping:
-                source = "synthesized"
-                query = Query(x_i[0], result.policy, config.runs_per_query)
-            else:
-                source = "fallback"
-                query = random_policy_query(
-                    x_i[0], list(capabilities), config.random_policy_length,
-                    config.runs_per_query, policy_rng,
-                )
+            source = "synthesized" if score > 0.0 and result.policy.mapping else "fallback"
+        if source == "synthesized":
+            query = Query(x_i[0], result.policy, config.runs_per_query)
+        else:
+            query = random_policy_query(
+                x_i[0], list(capabilities), config.random_policy_length,
+                config.runs_per_query, policy_rng,
+            )
         marks.append(time.perf_counter())
 
         results = execute_query(
@@ -479,7 +468,7 @@ def run(
         kept = m_pess.capabilities
         m_pess, m_opt = build_models(capabilities.values(), dataset, universe, (m_pess, m_opt))
         rebuilt = sum(cap is not kept.get(name) for name, cap in m_pess.capabilities.items())
-        novel_history.append(novel)
+        quiet_queries = 0 if novel else quiet_queries + 1
         marks.append(time.perf_counter())
 
         snapshot_name = None

@@ -22,7 +22,6 @@ from .abstraction import (
     LiteralConjunction,
     literal_of,
     literal_string,
-    parse_literal,
     satisfies,
 )
 from .dataset import EffectPair, Transition, TransitionDataset, effects_of
@@ -112,9 +111,6 @@ class CapabilityModel:
         self.flavor = flavor
         self.fitted_to = fitted_to
 
-    def capability_names(self) -> list[str]:
-        return sorted(self.capabilities)
-
     def rules_for(self, name: str) -> tuple[ConditionalEffectRule, ...]:
         cap = self.capabilities.get(name)
         return cap.rules if cap is not None else ()
@@ -180,12 +176,8 @@ def optimistic_condition(
     `partition` returns one partition per distinct effect set, so the effect
     set alone tells `target` apart from the others.
     """
-    other_states: list[AbstractState] = []
-    for p in all_parts:
-        if p.effects == target.effects:
-            continue
-        other_states.extend(p.states)
-    clauses = tuple(literal_of(s) for s in sorted(set(other_states), key=lambda s: s.bits))
+    others = {s for p in all_parts if p.effects != target.effects for s in p.states}
+    clauses = tuple(literal_of(s) for s in sorted(others, key=lambda s: s.bits))
     return Condition(clauses, universe.num_atoms, negated=True)
 
 
@@ -246,17 +238,6 @@ def build_models(
     )
 
 
-def entails(model: CapabilityModel, transition: Transition) -> bool:
-    """Whether some rule's condition accepts s and some effect maps s to s'."""
-    for rule in model.rules_for(transition.c):
-        if not satisfies(transition.s, rule.condition):
-            continue
-        for _, eff in rule.effects:
-            if apply_effect(transition.s, eff) == transition.s_next:
-                return True
-    return False
-
-
 def predict(
     model: CapabilityModel, state: AbstractState, capability: str
 ) -> dict[AbstractState, float]:
@@ -297,6 +278,11 @@ def entailed_successors(
     return out
 
 
+def entails(model: CapabilityModel, transition: Transition) -> bool:
+    """Whether some accepting rule has an effect that maps s to s'."""
+    return transition.s_next in entailed_successors(model, transition.s, transition.c)
+
+
 def equivalent(
     model1: CapabilityModel,
     model2: CapabilityModel,
@@ -305,19 +291,14 @@ def equivalent(
     """Functional equivalence: entailment agrees on every checked transition.
 
     For each state in `states` and each capability known to either model,
-    successors range over the union of both models' entailment supports.
-    Transitions outside that union are entailed by neither model, so they
-    cannot disagree.
+    both models must entail the same successor set.
     """
     caps = sorted(set(model1.capabilities) | set(model2.capabilities))
-    for s in states:
-        for c in caps:
-            succs = entailed_successors(model1, s, c) | entailed_successors(model2, s, c)
-            for s2 in succs:
-                t = Transition(s, c, s2)
-                if entails(model1, t) != entails(model2, t):
-                    return False
-    return True
+    return all(
+        entailed_successors(model1, s, c) == entailed_successors(model2, s, c)
+        for s in states
+        for c in caps
+    )
 
 
 # -- serialization ---------------------------------------------------------
@@ -482,11 +463,6 @@ def model_to_text(model: CapabilityModel) -> str:
                 out.append(f"    {p:.4f}: {_effect_string(e, u)}")
         out.append("")
     return "\n".join(out)
-
-
-def make_intent(text: str, universe: AtomUniverse) -> LiteralConjunction:
-    """Parse an intent like ``clean(l1)`` or ``!charged(robot)``."""
-    return parse_literal(text, universe)
 
 
 def capability_name(intent: LiteralConjunction, universe: AtomUniverse) -> str:

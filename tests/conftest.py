@@ -19,7 +19,6 @@ from caplearn.abstraction import (
     AtomUniverse,
     Condition,
     LiteralConjunction,
-    build_universe,
 )
 from caplearn.dataset import EffectPair, Transition, TransitionDataset
 from caplearn.model import Capability, CapabilityModel, ConditionalEffectRule, predict
@@ -27,12 +26,12 @@ from caplearn.model import Capability, CapabilityModel, ConditionalEffectRule, p
 
 @pytest.fixture
 def two_atom_universe() -> AtomUniverse:
-    return build_universe({"clean": ["loc"]}, {"l1": "loc", "l2": "loc"})
+    return AtomUniverse({"clean": ["loc"]}, {"l1": "loc", "l2": "loc"})
 
 
 @pytest.fixture
 def vacuum_universe() -> AtomUniverse:
-    return build_universe(
+    return AtomUniverse(
         predicates={
             "charged": ["agent"],
             "at": ["dock", "agent"],
@@ -176,7 +175,7 @@ def rule_model(universe: AtomUniverse, rules) -> CapabilityModel:
 
 
 def small_universe(num_atoms: int) -> AtomUniverse:
-    return build_universe(
+    return AtomUniverse(
         {f"p{i}": ["x"] for i in range(num_atoms)}, {"a": "x"}
     )
 

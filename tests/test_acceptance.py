@@ -12,7 +12,7 @@ from statistics import median
 
 import pytest
 
-from caplearn.abstraction import build_universe
+from caplearn.abstraction import AtomUniverse, parse_literal
 from caplearn.dataset import Transition, TransitionDataset
 from caplearn.distributions import tv_distance
 from caplearn.envs import road_world, vacuum_world
@@ -28,7 +28,6 @@ from caplearn.model import (
     entailed_successors,
     entails,
     equivalent,
-    make_intent,
     satisfies,
 )
 from caplearn.synthesis import _PairTable
@@ -50,7 +49,7 @@ def _universe_of_size(rng: Random) -> "AtomUniverse":
     while n_preds * n_objs > 12:
         n_preds = rng.randint(1, 4)
         n_objs = rng.randint(1, 3)
-    return build_universe(
+    return AtomUniverse(
         {f"p{i}": ["x"] for i in range(n_preds)},
         {f"o{j}": "x" for j in range(n_objs)},
     )
@@ -185,7 +184,7 @@ class TestCriterion4CleanRuleFidelity:
     def test_clean_rule_probabilities(self):
         bundle = vacuum_world(seed="acceptance-4")
         u = bundle.universe
-        intent = make_intent("clean(l1)", u)
+        intent = parse_literal("clean(l1)", u)
         start_atoms = frozenset({"has(robot,vacuum)", "charged(robot)"})
         ds = TransitionDataset()
         for _ in range(2000):
@@ -270,7 +269,7 @@ class TestVdCurveMonotonicity:
 
 class TestCriterion7MetricCorrectness:
     def test_worked_examples_to_twelve_decimals(self):
-        u = build_universe({"p": ["x"], "q": ["x"], "r": ["x"]}, {"a": "x"})
+        u = AtomUniverse({"p": ["x"], "q": ["x"], "r": ["x"]}, {"a": "x"})
         a, b, c = (u.encode([n]) for n in ("p(a)", "q(a)", "r(a)"))
         tv_cases = [
             ({a: 0.5, b: 0.5}, {a: 1.0}, 0.5),

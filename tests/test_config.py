@@ -3,7 +3,9 @@ import json
 import pytest
 
 from caplearn.abstraction import ConfigurationError
-from caplearn.config import RunConfig, load_config, parse_config
+from caplearn.cli import main
+from caplearn.config import RunConfig, load_config, make_bundle, parse_config
+from caplearn.envs import vacuum_world
 from caplearn.evaluation import EvalConfig
 from caplearn.learner import LearnerConfig
 
@@ -114,3 +116,47 @@ class TestLearnerBounds:
         assert cfg.learner.kappa == 0
         assert cfg.learner.wall_clock_budget == 0.5
         assert self._load(tmp_path, '"wall_clock_budget": null').learner.wall_clock_budget is None
+
+
+def _vacuum_universe(**changes) -> dict:
+    """The built-in vacuum world's universe as an inline definition, with `changes` applied."""
+    u = vacuum_world().universe
+    definition = {
+        "predicates": {name: list(types) for name, types in u.predicates.items()},
+        "objects": dict(u.objects),
+    }
+    for key, value in changes.items():
+        if value is None:
+            del definition[key]
+        else:
+            definition[key] = value
+    return definition
+
+
+class TestSectionsAndInlineUniverse:
+    """Section shapes and the inline universe, from the file to the environment bundle."""
+
+    def test_matching_inline_universe_loads(self):
+        doc = {"environment": {"name": "vacuum"}, "universe": _vacuum_universe()}
+        bundle = make_bundle(parse_config(doc))
+        assert bundle.universe.atoms == vacuum_world().universe.atoms
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [("learner", [], "learner must be an object"),
+         ("evaluation", 3, "evaluation must be an object"),
+         ("universe", _vacuum_universe(objects=None), "needs object map 'objects'"),
+         ("universe", _vacuum_universe(predicates=None), "needs object map 'predicates'"),
+         ("universe", _vacuum_universe(objects={**vacuum_world().universe.objects, "l3": "room"}),
+          "does not match")],
+        ids=["learner", "evaluation", "no-objects", "no-predicates", "other-atoms"],
+    )
+    def test_refused_on_load_and_by_learn(self, tmp_path, field, value, message):
+        doc = {"environment": {"name": "vacuum"}, field: value,
+               "output_dir": str(tmp_path / "out")}
+        with pytest.raises(ConfigurationError, match=message):
+            make_bundle(parse_config(doc))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert main(["learn", "--config", str(path), "--quiet"]) == 2
+        assert not (tmp_path / "out").exists()

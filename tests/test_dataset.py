@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from caplearn.abstraction import AbstractState, build_universe
+from caplearn.abstraction import AbstractState, AtomUniverse
 from caplearn.dataset import (
     EffectPair,
     Transition,
@@ -62,7 +62,7 @@ class TestEffectsOf:
 
 class TestRecord:
     def setup_method(self):
-        self.u = build_universe({"p": ["x"], "q": ["x"]}, {"a": "x"})
+        self.u = AtomUniverse({"p": ["x"], "q": ["x"]}, {"a": "x"})
 
     def states(self, *atom_sets):
         return [self.u.encode(atoms) for atoms in atom_sets]
@@ -90,7 +90,7 @@ class TestRecord:
 
 class TestEffectSet:
     def setup_method(self):
-        self.u = build_universe({"p": ["x"], "q": ["x"]}, {"a": "x"})
+        self.u = AtomUniverse({"p": ["x"], "q": ["x"]}, {"a": "x"})
 
     def test_no_data_is_empty(self):
         ds = TransitionDataset()
@@ -117,7 +117,7 @@ class TestEffectSet:
 
     def test_effect_set_equality_is_an_equivalence(self):
         rng = Random("effect-equiv")
-        u = build_universe({f"p{i}": ["x"] for i in range(4)}, {"a": "x"})
+        u = AtomUniverse({f"p{i}": ["x"] for i in range(4)}, {"a": "x"})
         ds = TransitionDataset()
         for _ in range(40):
             ds.add(Transition(random_state(u, rng), "c", random_state(u, rng)))
@@ -136,7 +136,7 @@ class TestSerialization:
     @given(st.data())
     @settings(max_examples=50, deadline=None)
     def test_jsonl_roundtrip_bit_exact(self, data):
-        u = build_universe({"p": ["x"], "q": ["x"]}, {"a": "x", "b": "x"})
+        u = AtomUniverse({"p": ["x"], "q": ["x"]}, {"a": "x", "b": "x"})
         rng = Random(data.draw(st.integers(0, 10_000)))
         ds = TransitionDataset()
         for _ in range(data.draw(st.integers(0, 20))):

@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from caplearn.abstraction import ConfigurationError, literal_string
+from caplearn.abstraction import ConfigurationError, literal_string, parse_literal
 from caplearn.dataset import Transition
 from caplearn.envs import (
     ActionDef,
@@ -21,11 +21,11 @@ from caplearn.envs.base import clause, dnf
 from caplearn.distributions import cumulative
 from caplearn.envs.roads import EDGES, LOCATIONS
 from caplearn.evaluation import reachable_states
-from caplearn.model import capability_name, entails, make_intent, model_to_json, predict
+from caplearn.model import capability_name, entails, model_to_json, predict
 
 
 def _attempt_outcomes(bundle, intent_text, start_atoms, runs, horizon=100):
-    intent = make_intent(intent_text, bundle.universe)
+    intent = parse_literal(intent_text, bundle.universe)
     start = frozenset(start_atoms)
     counts = Counter()
     for _ in range(runs):
@@ -51,7 +51,7 @@ class TestVacuum:
         b = vacuum_world(seed=1)
         start = frozenset({"charged(robot)"})  # no vacuum in hand
         b.simulator.revert(start)
-        intent = make_intent("clean(l1)", b.universe)
+        intent = parse_literal("clean(l1)", b.universe)
         traj = b.agent.attempt(intent, b.simulator, start, 100)
         assert {b.abstraction(x) for x in traj} == {b.abstraction(start)}
 
@@ -83,7 +83,7 @@ class TestRoads:
     def test_non_edge_is_constant(self):
         b = road_world(seed=1)
         start = b.simulator.reset()
-        intent = make_intent("at(l5)", b.universe)  # no edge l1 -> l5
+        intent = parse_literal("at(l5)", b.universe)  # no edge l1 -> l5
         traj = b.agent.attempt(intent, b.simulator, start, 100)
         assert traj == [start]
 
@@ -143,7 +143,7 @@ class TestBlocks:
             {"on(b2,b1)", "clear(b2)", "ontable(b1)", "ontable(b3)", "clear(b3)"}
         )
         b.simulator.revert(start)
-        intent = make_intent("holding(b1)", b.universe)
+        intent = parse_literal("holding(b1)", b.universe)
         traj = b.agent.attempt(intent, b.simulator, start, 100)
         assert traj == [start]
 
@@ -216,7 +216,7 @@ class TestContracts:
         """10,000 sampled agent transitions per pair all entailed by its truth."""
         b = make_environment(name, seed="consistency", **params)
         truth = b.ground_truth
-        caps = truth.capability_names()
+        caps = sorted(truth.capabilities)
         rng = Random("consistency-drive")
         start = b.abstraction(b.simulator.reset())
         reach = sorted(reachable_states(truth, start), key=lambda s: s.bits)
@@ -299,7 +299,7 @@ class TestDerivedGroundTruth:
         h = hashlib.sha256()
         n = 0
         for s in states:
-            for c in truth.capability_names():
+            for c in sorted(truth.capabilities):
                 dist = predict(truth, s, c)
                 h.update(repr((s.bits, c, sorted((s2.bits, p) for s2, p in dist.items()))).encode())
                 n += 1
@@ -364,7 +364,7 @@ class TestDerivedGroundTruth:
         actions = dict(b.simulator.actions, grab=grab)
         sim = AtomSimulator(u, b.simulator.reset(), tuple(actions.values()), seed=0)
         truth = b.agent.ground_truth(sim.actions)
-        cap_has = capability_name(make_intent(has, u), u)
+        cap_has = capability_name(parse_literal(has, u), u)
         for s in u.all_states():
             atoms = frozenset(u.atom_names(s))
             if has not in atoms:
@@ -449,7 +449,7 @@ class TestSimulatorAndAgentMemos:
     def test_attempt_matches_uncached_agent(self, world):
         b = _WORLDS[world](seed=world)
         sim, agent = b.simulator, b.agent
-        intents = [make_intent(key, b.universe) for key in sorted(agent.table)]
+        intents = [parse_literal(key, b.universe) for key in sorted(agent.table)]
         states = _reachable_env_states(sim)
         rng = Random(world)
         for visit in range(2):
@@ -478,7 +478,7 @@ class TestSimulatorAndAgentMemos:
         others = [a for name, a in b.simulator.actions.items() if name != "grab"]
         reset = b.simulator.reset()
         sims = [b.simulator, AtomSimulator(u, reset, [never, *others]), AtomSimulator(u, reset, [always, *others])]
-        intent = make_intent("has(robot,vacuum)", u)
+        intent = parse_literal("has(robot,vacuum)", u)
         for atoms in _reachable_env_states(b.simulator) * 2:
             for sim in sims:
                 ref = Random()

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import caplearn.learner as learner_module
-from caplearn.abstraction import ConfigurationError, LiteralConjunction, build_universe
+from caplearn.abstraction import AtomUniverse, ConfigurationError, LiteralConjunction
 from caplearn.dataset import TransitionDataset, Transition
 from caplearn.envs import make_environment, vacuum_world
 from caplearn.evaluation import reachable_states
@@ -103,7 +103,7 @@ class StubSimulator:
 
 class TestRunCapability:
     def setup_method(self):
-        self.u = build_universe({"p": ["x"], "q": ["x"], "r": ["x"]}, {"a": "x"})
+        self.u = AtomUniverse({"p": ["x"], "q": ["x"], "r": ["x"]}, {"a": "x"})
 
     def run(self, traj, theta):
         sim = StubSimulator(traj[0] if traj else set())
@@ -180,7 +180,7 @@ class TestDiscoverCapabilities:
         assert cap.intent.positives == 0
 
 
-_TALLY_UNIVERSE = build_universe(
+_TALLY_UNIVERSE = AtomUniverse(
     {"clean": ["room"], "at": ["room"], "holding": ["item"]},
     {"l1": "room", "l2": "room", "key": "item"},
 )
@@ -609,6 +609,8 @@ class TestRun:
         model, log = run(cfg, b)
         assert log.stop_reason == "early_stop"
         assert all(r.novel == 0 for r in log.records[-5:])
+        # It stops at the first query whose trailing window holds nothing new.
+        assert len(log.records) == 5 or log.records[-6].novel > 0
 
     def test_converged_run_is_equivalent_to_ground_truth(self):
         from caplearn.evaluation import reachable_states

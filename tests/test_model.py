@@ -32,7 +32,17 @@ from caplearn.model import (
     pessimistic_condition,
     predict,
 )
-from .conftest import random_dataset, random_state, small_universe
+from .conftest import (
+    RULE_CAP,
+    bits_to_index_set,
+    naive_apply,
+    naive_satisfies,
+    random_dataset,
+    random_rule,
+    random_state,
+    rule_model,
+    small_universe,
+)
 
 
 def _cap(name="c"):
@@ -439,6 +449,32 @@ class TestEquivalence:
             ma, _ = build_models(caps, ds1, u)
             mb, _ = build_models(caps, ds2, u)
             assert equivalent(ma, mb, u.all_states()) == brute_force_equivalent(ma, mb, u)
+
+
+class TestEntailsOracle:
+    def test_matches_a_set_walk_over_every_accepting_rule(self):
+        """General DNF rules, negated ones included; a state may be accepted by
+        several rules, and each of them adds its successors."""
+        rng = Random("entails-oracle")
+        u = small_universe(4)
+        negated = beyond_first = 0
+        for _ in range(40):
+            rules = [random_rule(u.num_atoms, rng) for _ in range(rng.randint(1, 4))]
+            negated += sum(r.condition.negated for r in rules)
+            model = rule_model(u, rules)
+            for s in u.all_states():
+                atoms = bits_to_index_set(s.bits)
+                walks = [
+                    {naive_apply(atoms, e) for _, e in r.effects}
+                    for r in rules
+                    if naive_satisfies(atoms, r.condition)
+                ]
+                oracle = set().union(*walks)
+                beyond_first += bool(walks) and oracle != walks[0]
+                for s2 in u.all_states():
+                    t = Transition(s, RULE_CAP, s2)
+                    assert entails(model, t) == (bits_to_index_set(s2.bits) in oracle)
+        assert negated > 0 and beyond_first > 0
 
 
 class TestMonotonicity:
