@@ -145,49 +145,45 @@ class Condition:
 class AtomUniverse:
     """The totally ordered set of well-typed ground atoms for one problem.
 
-    The ordering is lexicographic by predicate name, then by the object-name
-    tuple, so rebuilding from the same definition always yields identical
-    bit positions. Canonical atom names map to bits by dict lookup; other
-    spellings, such as ``clean( l1 )``, are parsed. `encode` memoizes the
-    successful encodes of frozensets (environment states), and `names_of` the
-    names of each mask. The memos hold pure functions, so instances stay
-    immutable from outside and safe to share.
+    Built from two maps: predicate name -> list of parameter type names, and
+    object name -> type name. Any other shape, or a parameter type no object
+    has, raises `ConfigurationError`. The ordering is lexicographic by
+    predicate name, then by the object-name tuple, so rebuilding from the
+    same definition always yields identical bit positions. Canonical atom
+    names map to bits by dict lookup; other spellings, such as
+    ``clean( l1 )``, are parsed to their canonical name first. `encode`
+    memoizes the successful encodes of frozensets (environment states), and
+    `names_of` the names of each mask. The memos hold pure functions, so
+    instances stay immutable from outside and safe to share.
     """
 
-    def __init__(
-        self,
-        predicates: Mapping[str, Sequence[str]] | Iterable[tuple[str, Sequence[str]]],
-        objects: Mapping[str, str] | Iterable[tuple[str, str]],
-    ) -> None:
-        pred_pairs = list(predicates.items() if isinstance(predicates, Mapping) else predicates)
-        if len({name for name, _ in pred_pairs}) != len(pred_pairs):
-            raise ConfigurationError("duplicate predicate names")
-        obj_pairs = list(objects.items() if isinstance(objects, Mapping) else objects)
-        if len({name for name, _ in obj_pairs}) != len(obj_pairs):
-            raise ConfigurationError("duplicate object names")
-        self.predicates: dict[str, tuple[str, ...]] = {
-            name: tuple(types) for name, types in pred_pairs
-        }
-        self.objects: dict[str, str] = dict(obj_pairs)
-        known_types = set(self.objects.values())
-        for name, types in self.predicates.items():
-            for t in types:
-                if t not in known_types:
-                    raise ConfigurationError(f"predicate {name} uses unknown type {t!r}")
-
+    def __init__(self, predicates: Mapping[str, Sequence[str]], objects: Mapping[str, str]) -> None:
+        for key, value in (("predicates", predicates), ("objects", objects)):
+            if not isinstance(value, Mapping):
+                raise ConfigurationError(f"universe definition needs object map {key!r}")
         by_type: dict[str, list[str]] = {}
-        for obj, t in sorted(self.objects.items()):
+        for obj, t in sorted(objects.items()):
+            if not isinstance(t, str):
+                raise ConfigurationError(f"object {obj} has type {t!r}, not a type name")
             by_type.setdefault(t, []).append(obj)
+        for name, types in predicates.items():
+            if not isinstance(types, (list, tuple)):
+                raise ConfigurationError(f"predicate {name} needs a list of type names, got {types!r}")
+            for t in types:
+                if not isinstance(t, str) or t not in by_type:
+                    raise ConfigurationError(f"predicate {name} uses unknown type {t!r}")
+        self.predicates: dict[str, tuple[str, ...]] = {
+            name: tuple(types) for name, types in predicates.items()
+        }
+        self.objects: dict[str, str] = dict(objects)
+
         atoms: list[GroundAtom] = []
         for name in sorted(self.predicates):
-            pools = [by_type.get(t, []) for t in self.predicates[name]]
+            pools = [by_type[t] for t in self.predicates[name]]
             for combo in product(*pools):
                 atoms.append(GroundAtom(name, combo))
         atoms.sort()
         self.atoms: tuple[GroundAtom, ...] = tuple(atoms)
-        self.index: dict[GroundAtom, int] = {a: i for i, a in enumerate(atoms)}
-        if len(self.index) != len(self.atoms):
-            raise ConfigurationError("duplicate ground atoms (duplicate object names?)")
         self.num_atoms = len(self.atoms)
         self._names: tuple[str, ...] = tuple(str(a) for a in atoms)
         self._index_of_name: dict[str, int] = {n: i for i, n in enumerate(self._names)}
@@ -195,15 +191,13 @@ class AtomUniverse:
         self._named: dict[int, tuple[str, ...]] = {}
 
     def atom_index(self, atom: GroundAtom | str) -> int:
-        if isinstance(atom, str):
-            got = self._index_of_name.get(atom)
-            if got is not None:
-                return got
-            atom = GroundAtom.parse(atom)
-        try:
-            return self.index[atom]
-        except KeyError:
-            raise EncodingError(f"unknown atom: {atom}") from None
+        got = self._index_of_name.get(str(atom))
+        if got is None:
+            name = str(GroundAtom.parse(str(atom)))
+            got = self._index_of_name.get(name)
+            if got is None:
+                raise EncodingError(f"unknown atom: {name}")
+        return got
 
     def encode(self, atoms: Iterable[GroundAtom | str]) -> AbstractState:
         if not isinstance(atoms, frozenset):

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 import time
@@ -15,7 +16,6 @@ from .abstraction import ConfigurationError
 from .config import RunConfig, load_config, make_bundle
 from .envs import environment_names, make_environment
 from .evaluation import (
-    CheckpointRow,
     evaluation_filter,
     exact_vd,
     generate_eval_dataset,
@@ -23,7 +23,6 @@ from .evaluation import (
     model_replay,
     reachable_states,
     sampled_vd,
-    write_csv,
 )
 from .learner import VARIANTS, run as run_learner
 from .model import load_model, model_to_text
@@ -135,18 +134,17 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         else:
             query_idx = _query_index(path)
             unique = uniques.get(query_idx)
-        rows.append(
-            CheckpointRow(
-                checkpoint=path.name,
-                queries=query_idx,
-                unique_transitions=unique,
-                vd_sampled=sampled_vd(agent_ds, model_ds),
-                vd_exact=exact_vd(model, truth, truth_transitions),
-                wall_seconds=time.monotonic() - wall0,
-            )
-        )
+        rows.append([
+            path.name, query_idx, "" if unique is None else unique,
+            sampled_vd(agent_ds, model_ds), exact_vd(model, truth, truth_transitions),
+            time.monotonic() - wall0,
+        ])
     out_csv = Path(args.csv) if args.csv else run_dir / "evaluation.csv"
-    write_csv(rows, out_csv)
+    with open(out_csv, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["checkpoint", "queries", "unique_transitions", "vd_sampled",
+                         "vd_exact_if_available", "wall_seconds"])
+        writer.writerows(rows)
     if not args.quiet:
         print(f"wrote {len(rows)} checkpoint rows to {out_csv}")
     return EXIT_OK

@@ -145,10 +145,7 @@ def make_bundle(config: RunConfig) -> EnvironmentBundle:
         raise ConfigurationError(f"bad environment params: {exc}") from exc
     definition = config.universe
     if isinstance(definition, dict):
-        for key in ("objects", "predicates"):
-            if not isinstance(definition.get(key), dict):
-                raise ConfigurationError(f"universe definition needs object map {key!r}")
-        declared = AtomUniverse(definition["predicates"], definition["objects"])
+        declared = AtomUniverse(definition.get("predicates"), definition.get("objects"))
         if declared.atoms != bundle.universe.atoms:
             raise ConfigurationError(
                 "inline universe does not match the built-in environment's atom set"

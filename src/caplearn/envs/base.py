@@ -226,7 +226,6 @@ class TableAgent:
 class EnvironmentBundle:
     """Everything a learner needs for one (environment, agent) pair."""
 
-    name: str
     universe: AtomUniverse
     simulator: AtomSimulator
     agent: TableAgent

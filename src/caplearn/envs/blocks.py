@@ -101,5 +101,5 @@ def stochastic_blocks(n_blocks: int = 3, slip: float = 0.25, seed: int | str = 0
     agent = TableAgent(universe, table)
 
     return EnvironmentBundle(
-        "blocks", universe, simulator, agent, universe.encode, agent.ground_truth(simulator.actions)
+        universe, simulator, agent, universe.encode, agent.ground_truth(simulator.actions)
     )

@@ -84,5 +84,5 @@ def road_world(seed: int | str = 0) -> EnvironmentBundle:
     agent = TableAgent(universe, table)
 
     return EnvironmentBundle(
-        "roads", universe, simulator, agent, universe.encode, agent.ground_truth(simulator.actions)
+        universe, simulator, agent, universe.encode, agent.ground_truth(simulator.actions)
     )

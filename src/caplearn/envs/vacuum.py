@@ -98,5 +98,5 @@ def vacuum_world(seed: int | str = 0) -> EnvironmentBundle:
     )
 
     return EnvironmentBundle(
-        "vacuum", universe, simulator, agent, universe.encode, agent.ground_truth(simulator.actions)
+        universe, simulator, agent, universe.encode, agent.ground_truth(simulator.actions)
     )

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import csv
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
-from pathlib import Path
 from random import Random
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -15,7 +13,7 @@ from .dataset import Transition, TransitionDataset
 from .distributions import cumulative
 from .envs.base import EnvironmentBundle
 from .learner import execute_query, tally_segments
-from .model import Capability, CapabilityModel, predict
+from .model import Capability, CapabilityModel, intent_achieving, predict
 from .synthesis import random_policy_query
 
 
@@ -193,45 +191,10 @@ def exact_vd(
 
 
 def evaluation_filter(model: CapabilityModel) -> CapabilityModel:
-    """Drop rules that cannot achieve their capability's intent, then empty capabilities.
-
-    Each capability's filtered copy is made once and kept in its memo, so
-    models sharing a capability share the copy and its `predict` memo.
-    """
+    """Keep each capability's intent-achieving rules, then drop capabilities left empty."""
     kept: dict[str, Capability] = {}
     for name, cap in model.capabilities.items():
-        filtered = cap.memo.filtered
-        if filtered is None:
-            pos, neg = cap.intent
-            rules = tuple(
-                r
-                for r in cap.rules
-                if any(eff.add & pos == pos and eff.delete & neg == neg for _, eff in r.effects)
-            )
-            filtered = cap.memo.filtered = Capability(cap.name, cap.intent, rules)
+        filtered = intent_achieving(cap)
         if filtered.rules:
             kept[name] = filtered
     return CapabilityModel(model.universe, kept, model.flavor)
-
-
-@dataclass
-class CheckpointRow:
-    checkpoint: str
-    queries: int
-    unique_transitions: int | None
-    vd_sampled: float
-    vd_exact: float | None
-    wall_seconds: float
-
-
-def write_csv(rows: Sequence[CheckpointRow], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["checkpoint", "queries", "unique_transitions", "vd_sampled",
-                         "vd_exact_if_available", "wall_seconds"])
-        for r in rows:
-            writer.writerow(
-                [r.checkpoint, r.queries,
-                 "" if r.unique_transitions is None else r.unique_transitions, r.vd_sampled,
-                 "" if r.vd_exact is None else r.vd_exact, r.wall_seconds]
-            )

@@ -97,10 +97,11 @@ class QueryRecord:
     `source` says where the executed policy came from: `synthesized` (the
     search scored above 0), `fallback` (it did not, so a random sequence ran)
     or `random` (the random variant). `phases` maps each name in `PHASES` to
-    the seconds the query spent in it; `snapshot` covers only writing the
-    model snapshot. `rebuilt` counts the capabilities whose rules the query's
-    refit rebuilt rather than carried over, and
-    `observed_states` the distinct transition source states recorded so far.
+    the seconds the query spent in it, and `elapsed` spans all five;
+    `snapshot` covers only writing the model snapshot. `rebuilt` counts the
+    capabilities whose rules the query's refit rebuilt rather than carried
+    over, and `observed_states` the distinct transition source states
+    recorded so far.
     """
 
     index: int
@@ -206,10 +207,14 @@ def tally_segments(
 
 @dataclass
 class RunResult:
-    """One policy-execution run: (capability, abstract states) segments and where it ended."""
+    """One policy-execution run: (capability, abstract states) segments and where it ended.
+
+    `final_state` is the env state the run ended in, and `end` its abstraction.
+    """
 
     segments: list[tuple[str, list[AbstractState]]]
     final_state: object
+    end: AbstractState
     env_steps: int
     error: str | None = None
 
@@ -265,7 +270,10 @@ def execute_query(
     Each step takes the next sequence element (or, for a state policy, the
     capability for the current abstract state, at most `max_policy_steps`
     times), hands its intent to the agent, and stops when the policy is
-    undefined or exhausted. Agent exceptions are captured per run.
+    undefined or exhausted. Agent exceptions are captured per run. `x0` is
+    abstracted once per call and every later env state once, as
+    `run_capability` reaches it; only a run whose agent raised abstracts the
+    env state it was left in, which the failed attempt may have moved.
     """
     if query.n < 1:
         raise ConfigurationError("query repetition count must be >= 1")
@@ -292,11 +300,12 @@ def execute_query(
                 )
             except Exception as exc:  # noqa: BLE001 - agent is untrusted
                 error = f"{type(exc).__name__}: {exc}"
+                state = abstraction(simulator.current)
                 break
             segments.append((cap_name, states))
             steps += env_steps
             state = states[-1]
-        results.append(RunResult(segments, simulator.current, steps, error))
+        results.append(RunResult(segments, simulator.current, state, steps, error))
     return results
 
 
@@ -304,31 +313,29 @@ def sample_initial_state(
     outcomes: Sequence[tuple[object, int, AbstractState]],
     previous_initial: tuple[object, int, AbstractState],
     dataset: TransitionDataset,
-    simulator,
-    abstraction: AbstractionFn,
+    reset: tuple[object, int, AbstractState],
     horizon: int,
     rng: Random,
-) -> tuple[object, int]:
+) -> tuple[object, int, AbstractState]:
     """Pick the next query's start from the previous query's outcome states.
 
-    Outcomes and the previous start come as `(env state, distance, abstract
-    state)`; only the reset state is abstracted here. Sampling weight is
+    Every start, the candidates, the previous start and the reset start
+    (the simulator's reset state at distance 0), is an `(env state,
+    distance, abstract state)` triple, and the one picked is returned as
+    given; nothing is abstracted or simulated here. Sampling weight is
     inversely proportional to how often a state has been an observed
     transition source. Outcomes (and a previous start) that ended beyond the
-    step horizon leave the pool. The reset state always competes in it, so
+    step horizon leave the pool. The reset start always competes in it, so
     saturated regions are eventually abandoned; when no candidate other than
-    the previous start remains, the next start is the reset state.
+    the previous start remains, the next start is the reset start.
     """
-    candidates: dict[AbstractState, tuple[object, int]] = {}
-    for env_state, distance, state in [*outcomes, previous_initial]:
-        if distance > horizon:
-            continue
-        candidates.setdefault(state, (env_state, distance))
-
-    reset_state = simulator.reset()
+    candidates: dict[AbstractState, tuple[object, int, AbstractState]] = {}
+    for start in [*outcomes, previous_initial]:
+        if start[1] <= horizon:
+            candidates.setdefault(start[2], start)
     if not candidates or set(candidates) == {previous_initial[2]}:
-        return reset_state, 0
-    candidates.setdefault(abstraction(reset_state), (reset_state, 0))
+        return reset
+    candidates.setdefault(reset[2], reset)
 
     ordered = sorted(candidates.items(), key=lambda kv: kv[0].bits)
     visit = [dataset.state_visit_count(s) for s, _ in ordered]
@@ -379,15 +386,14 @@ def run(
         walk = random_walk(simulator, remaining, walk_rng)
         walks.append(walk)
         remaining -= max(len(walk) - 1, 1)
-    if not walks:
-        walks.append(random_walk(simulator, 0, walk_rng))
     capabilities = discover_capabilities(
         [[abstraction(x) for x in walk] for walk in walks], universe
     )
     dataset = TransitionDataset()
     m_pess, m_opt = build_models(capabilities.values(), dataset, universe)
 
-    x_i: tuple[object, int] = (simulator.reset(), 0)
+    reset_state = simulator.reset()
+    x_i = reset = (reset_state, 0, abstraction(reset_state))
     log = RunLog()
     quiet_queries = 0  # queries since the last one that found something new
     query_idx = 0
@@ -411,8 +417,7 @@ def run(
         if reason is not None:
             log.stop_reason = reason
             break
-        t0 = time.monotonic()
-        s0 = abstraction(x_i[0])
+        x0, distance, s0 = x_i
         score: float | None = None
         marks = [time.perf_counter()]  # one more at the end of each phase
         if config.variant == "random":
@@ -425,10 +430,10 @@ def run(
             score = result.score
             source = "synthesized" if score > 0.0 and result.policy.mapping else "fallback"
         if source == "synthesized":
-            query = Query(x_i[0], result.policy, config.runs_per_query)
+            query = Query(x0, result.policy, config.runs_per_query)
         else:
             query = random_policy_query(
-                x_i[0], list(capabilities), config.random_policy_length,
+                x0, list(capabilities), config.random_policy_length,
                 config.runs_per_query, policy_rng,
             )
         marks.append(time.perf_counter())
@@ -440,18 +445,9 @@ def run(
         marks.append(time.perf_counter())
 
         novel = 0
-        executions = 0
-        failures = 0
-        outcomes: list[tuple[object, int, AbstractState]] = []
-        for res in results:
-            executions += len(res.segments)
-            if res.error is not None:
-                # The failed attempt may have moved the simulator.
-                final = abstraction(res.final_state)
-            else:
-                final = res.segments[-1][1][-1] if res.segments else s0
-            outcomes.append((res.final_state, x_i[1] + res.env_steps, final))
-            failures += int(res.error is not None)
+        executions = sum(len(res.segments) for res in results)
+        failures = sum(res.error is not None for res in results)
+        outcomes = [(res.final_state, distance + res.env_steps, res.end) for res in results]
         # One record per distinct transition keeps `novel`, every count and
         # whether each capability's revision moved, as one per segment would.
         tally, moves = tally_segments(seg for res in results for seg in res.segments)
@@ -485,7 +481,7 @@ def run(
             total_transitions=dataset.total(),
             executions=executions,
             score=score,
-            elapsed=time.monotonic() - t0,
+            elapsed=marks[-1] - marks[0],
             snapshot=snapshot_name,
             failures=failures,
             source=source,
@@ -498,9 +494,7 @@ def run(
         if checkpoint_hook is not None:
             checkpoint_hook(query_idx, m_pess, log, dataset)
 
-        x_i = sample_initial_state(
-            outcomes, (*x_i, s0), dataset, simulator, abstraction, config.horizon, init_rng
-        )
+        x_i = sample_initial_state(outcomes, x_i, dataset, reset, config.horizon, init_rng)
         query_idx += 1
 
     log.capabilities = len(capabilities)

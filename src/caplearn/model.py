@@ -56,8 +56,7 @@ class _CapabilityMemo:
 
     `predictions` maps a state to `predict`'s result; `json` is
     `(universe, text)` of the capability's compact `model_to_json` fragment.
-    `filtered` is the capability keeping only the rules
-    `evaluation.evaluation_filter` keeps.
+    `filtered` is `intent_achieving`'s copy of the capability.
     `entry` is `(universe, parsed JSON entry)` for a capability that
     `model_from_json` built, so a later load can tell it is unchanged.
     """
@@ -87,6 +86,20 @@ class Capability:
     memo: _CapabilityMemo = field(
         default_factory=_CapabilityMemo, init=False, compare=False, repr=False
     )
+
+
+def intent_achieving(cap: Capability) -> Capability:
+    """`cap` with only its intent-achieving rules; made once, then shared through `cap.memo`."""
+    filtered = cap.memo.filtered
+    if filtered is None:
+        pos, neg = cap.intent
+        rules = tuple(
+            r
+            for r in cap.rules
+            if any(eff.add & pos == pos and eff.delete & neg == neg for _, eff in r.effects)
+        )
+        filtered = cap.memo.filtered = Capability(cap.name, cap.intent, rules)
+    return filtered
 
 
 class CapabilityModel:

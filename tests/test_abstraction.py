@@ -47,12 +47,14 @@ class TestBuildUniverse:
         } <= names
 
     def test_duplicate_predicates_rejected(self):
-        with pytest.raises(ConfigurationError):
-            AtomUniverse([("p", ["x"]), ("p", ["x"])], {"a": "x"})
+        """Only a non-mapping can repeat a predicate name, and it is refused."""
+        with pytest.raises(ConfigurationError, match="needs object map 'predicates'"):
+            AtomUniverse([("p", ["x"]), ("q", ["x"])], {"a": "x"})
 
     def test_duplicate_objects_rejected(self):
-        with pytest.raises(ConfigurationError):
-            AtomUniverse({"p": ["x"]}, [("a", "x"), ("a", "x")])
+        """Only a non-mapping can repeat an object name, and it is refused."""
+        with pytest.raises(ConfigurationError, match="needs object map 'objects'"):
+            AtomUniverse({"p": ["x"]}, [("a", "x"), ("b", "x")])
 
     def test_unknown_parameter_type_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -75,7 +77,8 @@ class TestBuildUniverse:
             },
         )
         assert again.atoms == vacuum_universe.atoms
-        assert again.index == vacuum_universe.index
+        names = [str(a) for a in vacuum_universe.atoms]
+        assert [again.atom_index(n) for n in names] == [vacuum_universe.atom_index(n) for n in names]
 
 
 class TestEncodeDecode:

@@ -17,7 +17,7 @@ from caplearn.evaluation import (
     sampled_vd,
 )
 from caplearn.learner import run
-from caplearn.model import Capability, CapabilityModel, load_model
+from caplearn.model import Capability, CapabilityModel, load_model, model_to_json
 
 
 def _write_config(path: Path, **overrides) -> Path:
@@ -286,6 +286,16 @@ class TestInspect:
         model_path = tmp_path / "out" / "final_model.json"
         assert main(["inspect", "--model", str(model_path)]) == 0
         assert "Capability Name:" in capsys.readouterr().out
+
+    def test_model_with_malformed_universe_is_an_error(self, tmp_path, capsys):
+        doc = json.loads(model_to_json(vacuum_world().ground_truth))
+        doc["universe"]["objects"]["l1"] = ["room"]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert main(["inspect", "--model", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: object l1 has type")
 
     def test_dataset_dump(self, tmp_path, capsys):
         cfg = _write_config(tmp_path / "cfg.json")

@@ -160,3 +160,32 @@ class TestSectionsAndInlineUniverse:
         path.write_text(json.dumps(doc))
         assert main(["learn", "--config", str(path), "--quiet"]) == 2
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "universe,message",
+        [(_vacuum_universe(objects={**vacuum_world().universe.objects, "l1": ["room"]}),
+          "object l1 has type"),
+         (_vacuum_universe(objects={**vacuum_world().universe.objects, "l1": None}),
+          "object l1 has type"),
+         (_vacuum_universe(predicates={**_vacuum_universe()["predicates"], "clean": "room"}),
+          "predicate clean needs a list of type names"),
+         (_vacuum_universe(predicates={**_vacuum_universe()["predicates"], "clean": [["room"]]}),
+          "predicate clean uses unknown type"),
+         (_vacuum_universe(predicates=sorted(_vacuum_universe()["predicates"].items())),
+          "needs object map 'predicates'"),
+         (_vacuum_universe(objects=sorted(vacuum_world().universe.objects.items())),
+          "needs object map 'objects'")],
+        ids=["list-object-type", "null-object-type", "string-signature", "nested-signature",
+             "predicate-list", "object-list"],
+    )
+    def test_malformed_universe_refused(self, tmp_path, capsys, universe, message):
+        doc = {"environment": {"name": "vacuum"}, "universe": universe,
+               "output_dir": str(tmp_path / "out")}
+        with pytest.raises(ConfigurationError, match=message):
+            make_bundle(parse_config(doc))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert main(["learn", "--config", str(path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "out").exists()

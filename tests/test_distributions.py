@@ -54,7 +54,7 @@ def coin_model(universe, atom, p):
     return rule_model(universe, (rule,))
 
 
-class TestStateDistribution:
+class TestPushDistribution:
     def test_total_is_one_after_pushes(self):
         rng = Random("norm")
         u = small_universe(6)
@@ -63,8 +63,6 @@ class TestStateDistribution:
             d = push_distribution(d, rule_model(u, (random_rule(u.num_atoms, rng),)), RULE_CAP)
         assert abs(sum(d.values()) - 1.0) <= 1e-9
 
-
-class TestPushDistribution:
     def test_no_rule_fires_is_identity(self):
         u = small_universe(3)
         s = u.encode(["p0(a)"])

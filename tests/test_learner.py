@@ -356,8 +356,16 @@ def _reference_execute_state_policy(agent, simulator, query, capabilities, abstr
                 break
             segments.append((cap.name, states))
             steps += env_steps
-        results.append(RunResult(segments, simulator.current, steps, error))
+        results.append(
+            RunResult(segments, simulator.current, abstraction(simulator.current), steps, error)
+        )
     return results
+
+
+def _reset_start(b):
+    """The `(env state, distance, abstract state)` start triple of `b`'s reset state."""
+    start = b.simulator.reset()
+    return (start, 0, b.abstraction(start))
 
 
 class TestSampleInitialState:
@@ -367,9 +375,9 @@ class TestSampleInitialState:
         ds = TransitionDataset()
         chosen = sample_initial_state(
             [(start, 3, b.abstraction(start))], (start, 3, b.abstraction(start)), ds,
-            b.simulator, b.abstraction, 100, Random(0),
+            _reset_start(b), 100, Random(0),
         )
-        assert chosen == (b.simulator.reset(), 0)
+        assert chosen == _reset_start(b)
 
     def test_far_outcomes_return_reset(self):
         b = vacuum_world(seed=1)
@@ -377,10 +385,9 @@ class TestSampleInitialState:
         far = frozenset({"has(robot,vacuum)"})
         chosen = sample_initial_state(
             [(far, 500, b.abstraction(far))], (start, 490, b.abstraction(start)),
-            ds := TransitionDataset(), b.simulator,
-            b.abstraction, 100, Random(0),
+            ds := TransitionDataset(), _reset_start(b), 100, Random(0),
         )
-        assert chosen == (b.simulator.reset(), 0)
+        assert chosen == _reset_start(b)
 
     def test_inverse_visit_count_weights(self):
         b = vacuum_world(seed=1)
@@ -397,9 +404,9 @@ class TestSampleInitialState:
         rng = Random("weights")
         counts = Counter()
         for _ in range(12_000):
-            chosen, _ = sample_initial_state(
+            chosen, _, _ = sample_initial_state(
                 [(s1, 1, b.abstraction(s1)), (s2, 1, a2)], (start, 0, b.abstraction(start)),
-                ds, b.simulator, b.abstraction, 100, rng,
+                ds, _reset_start(b), 100, rng,
             )
             counts[chosen] += 1
         assert counts[s1] / 12_000 == pytest.approx(5 / 11, abs=0.02)
@@ -419,14 +426,32 @@ class TestSampleInitialState:
         counts = Counter()
         n = 20_000
         for _ in range(n):
-            chosen, _ = sample_initial_state(
+            chosen, _, _ = sample_initial_state(
                 [(s1, 1, b.abstraction(s1)), (s2, 1, a2)], (s1, 1, b.abstraction(s1)),
-                ds, b.simulator, b.abstraction, 100, rng,
+                ds, _reset_start(b), 100, rng,
             )
             counts[chosen] += 1
         # weights: s1 -> 10, s2 -> 6, reset -> 1 (n_max=9): check s1:s2 ratio 5:3
         ratio = counts[s1] / counts[s2]
         assert ratio == pytest.approx(10 / 6, rel=0.1)
+
+    def test_returns_a_given_triple_and_leaves_the_simulator(self):
+        b = vacuum_world(seed=1)
+        reset = _reset_start(b)
+        s1 = frozenset({"has(robot,vacuum)"})
+        s2 = frozenset({"has(robot,vacuum)", "at(charger,robot)"})
+        outcomes = [(s1, 1, b.abstraction(s1)), (s2, 2, b.abstraction(s2))]
+        previous = (s1, 1, b.abstraction(s1))
+        b.simulator.revert(s2)
+        rng = Random("identity")
+        picked = set()
+        for _ in range(200):
+            chosen = sample_initial_state(outcomes, previous, TransitionDataset(), reset, 100, rng)
+            assert any(chosen is t for t in [*outcomes, previous, reset])
+            picked.add(chosen[2])
+        assert picked == {t[2] for t in [*outcomes, reset]}
+        assert sample_initial_state([], previous, TransitionDataset(), reset, 100, rng) is reset
+        assert b.simulator.current == s2
 
 
 class TestRun:
@@ -477,6 +502,35 @@ class TestRun:
         _, log = run(self._config(), b)
         assert sum(r.failures for r in log.records) > 0
         assert len(checked) == len(log.records)
+
+    def test_run_end_is_the_final_state_abstracted(self, monkeypatch):
+        """`RunResult.end` is the abstraction of the env state each run ended in,
+        including runs whose agent moved the simulator and then raised."""
+        b = vacuum_world(seed="5/env")
+        agent, attempts = b.agent, [0]
+
+        class MovingFlakyAgent:
+            def attempt(self, intent, simulator, start, horizon):
+                attempts[0] += 1
+                traj = agent.attempt(intent, simulator, start, horizon)
+                if attempts[0] % 5 == 0 and len(traj) > 1:
+                    raise RuntimeError("moved, then failed")
+                return traj
+
+        b.agent = MovingFlakyAgent()
+        execute = learner_module.execute_query
+        moved_failures = [0]
+
+        def checked_execute(agent, simulator, query, *args):
+            results = execute(agent, simulator, query, *args)
+            for res in results:
+                assert res.end == b.abstraction(res.final_state)
+                moved_failures[0] += res.error is not None and res.final_state != query.x0
+            return results
+
+        monkeypatch.setattr(learner_module, "execute_query", checked_execute)
+        run(self._config(), b)
+        assert moved_failures[0] > 0
 
     def test_unique_transitions_monotone(self):
         b = vacuum_world(seed="5/env")
