@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .abstraction import (
     AbstractState,
     AtomUniverse,
     Condition,
+    ConfigurationError,
     LiteralConjunction,
     literal_of,
     literal_string,
@@ -330,12 +332,21 @@ def _condition_to_json(cond: Condition, universe: AtomUniverse) -> dict:
     }
 
 
-def _condition_from_json(data: dict, universe: AtomUniverse) -> Condition:
+def _mask_from_json(universe: AtomUniverse, capability: str, names: object, field: str) -> int:
+    """`universe.mask_of(names)`, refusing anything but a list by field name."""
+    if not isinstance(names, list):
+        raise ConfigurationError(
+            f"capability {capability}: {field} must be a list of atom names, got {names!r}"
+        )
+    return universe.mask_of(names)
+
+
+def _condition_from_json(data: dict, num_atoms: int, mask: Callable[..., int]) -> Condition:
     clauses = tuple(
-        LiteralConjunction(universe.mask_of(cl["pos"]), universe.mask_of(cl["neg"]))
+        LiteralConjunction(mask(cl["pos"], "clause pos"), mask(cl["neg"], "clause neg"))
         for cl in data["clauses"]
     )
-    return Condition(clauses, universe.num_atoms, negated=bool(data["negated"]))
+    return Condition(clauses, num_atoms, negated=bool(data["negated"]))
 
 
 def _capability_json(cap: Capability, u: AtomUniverse) -> str:
@@ -401,37 +412,40 @@ def model_from_json(
     the same name, parsed over the same universe object, is returned as is
     (rules and memo); every other capability is built afresh. Without
     `universe` a new universe is parsed from the text, so nothing is reused.
+    A `universe` that is not an object, or an atom-name field (intent,
+    clause or effect) that is not a list, raises `ConfigurationError`.
     """
     doc = json.loads(text)
     if universe is None:
         udoc = doc["universe"]
-        universe = AtomUniverse(udoc["predicates"], udoc["objects"])
+        if not isinstance(udoc, dict):
+            raise ConfigurationError(f"model universe must be an object, got {udoc!r}")
+        universe = AtomUniverse(udoc.get("predicates"), udoc.get("objects"))
     old = previous.capabilities if previous is not None else {}
     caps: dict[str, Capability] = {}
     for cdoc in doc["capabilities"]:
-        kept = old.get(cdoc["name"])
+        name = cdoc["name"]
+        kept = old.get(name)
         if kept is not None and kept.memo.entry is not None:
             entry_universe, entry = kept.memo.entry
             if entry_universe is universe and entry == cdoc:
                 caps[kept.name] = kept
                 continue
+        mask = partial(_mask_from_json, universe, name)
         intent = LiteralConjunction(
-            universe.mask_of(cdoc["intent"]["pos"]), universe.mask_of(cdoc["intent"]["neg"])
+            mask(cdoc["intent"]["pos"], "intent pos"), mask(cdoc["intent"]["neg"], "intent neg")
         )
         rules = tuple(
             ConditionalEffectRule(
-                _condition_from_json(r["condition"], universe),
+                _condition_from_json(r["condition"], universe.num_atoms, mask),
                 tuple(
-                    (
-                        eff["p"],
-                        EffectPair(universe.mask_of(eff["add"]), universe.mask_of(eff["del"])),
-                    )
+                    (eff["p"], EffectPair(mask(eff["add"], "effect add"), mask(eff["del"], "effect del")))
                     for eff in r["effects"]
                 ),
             )
             for r in cdoc["rules"]
         )
-        cap = caps[cdoc["name"]] = Capability(cdoc["name"], intent, rules)
+        cap = caps[name] = Capability(name, intent, rules)
         cap.memo.entry = (universe, cdoc)
     return CapabilityModel(universe, caps, doc.get("flavor", "ground-truth"))
 

@@ -15,9 +15,11 @@ optimistic models.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+import sys
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 from functools import cached_property
+from operator import add
 from random import Random
 from typing import Iterable, Mapping, Sequence
 
@@ -312,8 +314,9 @@ class _StateTable:
     `steps[i]`, built on the first step taken with the call's `i`-th
     capability, holds in successor bit order the `distributions.cumulative`
     mixture weights, so that `bisect_right(cum, u)` is the successor picked
-    for the uniform `u`, and `(successor table, reward)` pairs. The owning
-    call clears `steps` on return, which breaks the cycles between tables.
+    for the uniform `u` (None when there is one successor), and
+    `(successor table, reward)` pairs. The owning call clears `steps` on
+    return, which breaks the cycles between tables.
     """
 
     __slots__ = ("state", "steps")
@@ -323,7 +326,7 @@ class _StateTable:
         self.steps: list[_Step | None] | None = [None] * k
 
 
-_Step = tuple[list[float], list[tuple[_StateTable, float]]]
+_Step = tuple[list[float] | None, list[tuple[_StateTable, float]]]
 
 
 class _SampleNode:
@@ -334,15 +337,35 @@ class _SampleNode:
     `q` and `children` are indexed like the call's capabilities and allocated
     when the node is first expanded (`n == 0`); most nodes stay leaves.
     `children[i]` is indexed like the successors of `table.steps[i]`.
+    `positive` lists the edges with Q > 0 in index order, and the next zero-Q
+    edge is searched for from `zero` (-1 before the first UCT choice).
     """
 
-    __slots__ = ("table", "reward", "value", "n", "n_edge", "w_edge", "q", "children")
+    __slots__ = ("table", "reward", "value", "n", "n_edge", "w_edge", "q", "children", "zero", "positive")
 
     def __init__(self, table: _StateTable, reward: float) -> None:
         self.table = table
         self.reward = reward
         self.value = reward
         self.n = 0
+
+
+def _exploration_falls(kappa: float, iterations: int) -> bool:
+    """Whether `t(c) = kappa * sqrt(log(N) / c)` falls strictly in c <= N <= `iterations`.
+
+    For N >= 2 (log 1 is 0). Both sides of `t(c) > t(c + 1)` share `log(N)`,
+    then round three times each (divide, `sqrt`, multiply), by at most half
+    an ulp while the values are normal floats. Exactly, `t(c) / t(c + 1) =
+    sqrt(1 + 1/c) >= 1 + 1/(3N)`, which outweighs six such roundings for
+    N < 2**40. Rounding is monotone, so every term is normal when the least
+    and the greatest, `kappa * sqrt(log 2 / (iterations + 1))` and
+    `kappa * sqrt(log(iterations))`, are.
+    """
+    return (
+        iterations < 1 << 40
+        and sys.float_info.min <= kappa * math.sqrt(math.log(2) / (iterations + 1))
+        and kappa * math.sqrt(math.log(iterations)) <= sys.float_info.max
+    )
 
 
 def synthesize_sampled(
@@ -377,19 +400,31 @@ def synthesize_sampled(
     and stream are those of a search that picks each successor by inverse
     CDF over its mixture weights and each rollout capability by `rng.choice`.
 
-    `value` is kept incrementally; `max(q)` is recomputed only when the edge
-    that held it falls. Rewards are 0 or 1, so every Q is >= 0, and at a
-    node whose value is 0.0 every Q is 0.0. Its UCT scores are then
-    `kappa * sqrt(log N / n)`, which never grows with n, so the first
-    least-visited edge is the first maximum whenever its score is strictly
-    above the score at one more visit. Otherwise (kappa 0, or both round to
-    the same float) the full score list is built.
+    Selection pays only for what can change its choice, and each rule
+    below picks the first maximum of the full score list:
+
+    - Visits 0 to k-1 of a node take edges 0 to k-1 in order.
+    - Rewards are 0 or 1 and `w` only grows, so every Q is >= 0 and a
+      node's `value` (`max(q)`, kept incrementally) never returns to 0.0
+      once positive. At value 0.0 every score is the exploration term
+      alone, so selection is round robin, edge `N % k`.
+    - At a positive node zero-Q edges still win only as the first
+      least-visited of them, so the one that can win is the next zero-Q
+      edge after the last one taken there (`zero`), cyclically. It is
+      scored with the positive-Q edges, first maximum in index order.
+    - Backing up a 0.0 value along a zero-Q edge changes only the counts.
+
+    The round-robin rules need the exploration term to fall strictly with
+    the visit count, which `_exploration_falls` checks once per call;
+    where it fails (kappa 0 or subnormal, say) every choice after a node's
+    first k visits scores the full list.
     """
     named = m_pess.capabilities.keys() | m_opt.capabilities
     caps = sorted(c for c in named if m_pess.rules_for(c) or m_opt.rules_for(c))
     if not caps or iterations <= 0:
         return SynthesisResult(StatePolicy(()), 0.0)
     k, bits_k = len(caps), len(caps).bit_length()
+    round_robin = _exploration_falls(kappa, iterations)
 
     tables: dict[int, _StateTable] = {}
 
@@ -409,12 +444,12 @@ def synthesize_sampled(
         for s2, p in p2.items():
             mix[s2] = mix.get(s2, 0.0) + 0.5 * p
         ordered = sorted(mix.items(), key=lambda kv: kv[0].bits)
-        cum = cumulative(w for _, w in ordered)
+        cum = cumulative(w for _, w in ordered) if len(ordered) > 1 else None
         outs = [(table_of(s2), 1.0 if (s2 in p1) != (s2 in p2) else 0.0) for s2, _ in ordered]
         step = table.steps[i] = (cum, outs)
         return step
 
-    random, getrandbits, sqrt = rng.random, rng.getrandbits, math.sqrt
+    random, getrandbits, sqrt, log = rng.random, rng.getrandbits, math.sqrt, math.log
     root = _SampleNode(table_of(s0), 0.0)
     all_nodes: list[_SampleNode] = [root]
 
@@ -424,25 +459,39 @@ def synthesize_sampled(
         fresh = None
         while len(path) < depth:
             table = node.table
-            if not node.n:
+            n = node.n
+            if not n:
                 node.n_edge = [0] * k
                 node.w_edge = [0.0] * k
                 node.q = [-math.inf] * k  # unvisited edges never win max(q)
                 node.children = [None] * k
+                node.zero = -1
+                node.positive = []
                 i = 0
+            elif n < k or (round_robin and node.value == 0.0):
+                i = n % k
             else:
-                n_edge = node.n_edge
-                least = min(n_edge)
-                i = n_edge.index(least)
-                if least:
-                    log_n = math.log(node.n)
-                    if node.value != 0.0 or not (
-                        kappa * sqrt(log_n / least) > kappa * sqrt(log_n / (least + 1))
-                    ):
-                        scores = [q + kappa * sqrt(log_n / n) for q, n in zip(node.q, n_edge)]
-                        i = scores.index(max(scores))
+                q, n_edge, log_n = node.q, node.n_edge, log(n)
+                if round_robin:
+                    positive, best = node.positive, -1.0
+                    for j in positive:  # a loop beats a comprehension here
+                        score = q[j] + kappa * sqrt(log_n / n_edge[j])
+                        if score > best:
+                            best, i = score, j
+                    if len(positive) < k:
+                        start = node.zero if node.zero >= 0 else n % k
+                        z = q.index(0.0, start) if 0.0 in q[start:] else q.index(0.0)
+                        t = kappa * sqrt(log_n / n_edge[z])  # its q is 0.0
+                        if t > best or (t == best and z < i):
+                            i = z
+                            start = z + 1
+                        node.zero = start
+                else:
+                    scores = [qi + kappa * sqrt(log_n / ni) for qi, ni in zip(q, n_edge)]
+                    i = scores.index(max(scores))
             cum, outs = table.steps[i] or make_step(table, i)
-            j = bisect_right(cum, random())
+            u = random()
+            j = bisect_right(cum, u) if cum else 0
             kids = node.children[i]
             if kids is None:
                 kids = node.children[i] = [None] * len(outs)
@@ -462,16 +511,22 @@ def synthesize_sampled(
                 while c >= k:
                     c = getrandbits(bits_k)
                 cum, outs = table.steps[c] or make_step(table, c)
-                table, r = outs[bisect_right(cum, random())]
+                u = random()
+                table, r = outs[bisect_right(cum, u) if cum else 0]
                 ret += r
             fresh.value = fresh.reward + ret
         for parent, i, child in reversed(path):
             parent.n += 1
+            q = parent.q
+            if child.value == 0.0 and q[i] == 0.0:
+                parent.n_edge[i] += 1
+                continue
             n = parent.n_edge[i] = parent.n_edge[i] + 1
             w = parent.w_edge[i] = parent.w_edge[i] + child.value
-            q = parent.q
             old = q[i]
             new = q[i] = parent.reward + w / n
+            if old <= 0.0 < new:
+                insort(parent.positive, i)
             if new >= parent.value or parent.n == 1:
                 parent.value = new
             elif old == parent.value:
@@ -487,17 +542,15 @@ def synthesize_sampled(
     for nd in all_nodes:
         if not nd.n:
             continue
-        got = pooled.get(nd.table.state.bits)
-        if got is None:
-            pooled[nd.table.state.bits] = (list(nd.n_edge), list(nd.w_edge))
-            continue
-        n_sum, w_sum = got
-        for i, (n, w) in enumerate(zip(nd.n_edge, nd.w_edge)):
-            n_sum[i] += n
-            w_sum[i] += w
+        bits = nd.table.state.bits
+        got = pooled.get(bits)
+        pooled[bits] = (nd.n_edge, nd.w_edge) if got is None else (
+            list(map(add, got[0], nd.n_edge)), list(map(add, got[1], nd.w_edge))
+        )
     mapping: dict[AbstractState, str] = {}
     for bits, (n_sum, w_sum) in pooled.items():
-        visited = [i for i, n in enumerate(n_sum) if n]
-        best = min(visited, key=lambda i: (-(w_sum[i] / n_sum[i]), caps[i]))
-        mapping[tables[bits].state] = caps[best]
+        # caps are in name order, so the first maximum of the mean is the
+        # best edge with ties broken by name; unvisited edges never win
+        means = [w / n if n else -1.0 for w, n in zip(w_sum, n_sum)]
+        mapping[tables[bits].state] = caps[means.index(max(means))]
     return SynthesisResult(StatePolicy.from_dict(mapping), score)

@@ -297,6 +297,30 @@ class TestInspect:
         assert captured.out == ""
         assert captured.err.startswith("error: object l1 has type")
 
+    def test_model_whose_universe_is_not_an_object_is_an_error(self, tmp_path, capsys):
+        doc = json.loads(model_to_json(vacuum_world().ground_truth))
+        doc["universe"] = []
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert main(["inspect", "--model", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: model universe must be an object, got []\n"
+
+    def test_string_in_place_of_atom_list_is_refused_by_field(self, tmp_path, capsys):
+        doc = json.loads(model_to_json(vacuum_world().ground_truth))
+        cap = doc["capabilities"][0]
+        cap["intent"]["pos"] = "clean(l1)"
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert main(["inspect", "--model", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: capability {cap['name']}: intent pos must be a list of atom names,"
+            " got 'clean(l1)'\n"
+        )
+
     def test_dataset_dump(self, tmp_path, capsys):
         cfg = _write_config(tmp_path / "cfg.json")
         assert main(["learn", "--config", str(cfg), "--quiet"]) == 0

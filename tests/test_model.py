@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from caplearn.abstraction import (
     AbstractState,
+    AtomUniverse,
     Condition,
+    ConfigurationError,
     LiteralConjunction,
     satisfies,
 )
@@ -532,6 +534,44 @@ class TestSerialization:
         assert "Condition:" in text
         assert "Effects:" in text
         assert "0.5000" in text
+
+
+class TestMalformedModelFile:
+    """`model_from_json` refuses a malformed file with `ConfigurationError`, naming the part."""
+
+    @staticmethod
+    def doc():
+        from caplearn.envs import vacuum_world
+
+        return json.loads(model_to_json(vacuum_world(seed=1).ground_truth))
+
+    @pytest.mark.parametrize("universe", [[], "builtin", None, {"objects": {"robot": "agent"}}])
+    def test_universe_not_a_predicate_and_object_map(self, universe):
+        doc = self.doc()
+        doc["universe"] = universe
+        with pytest.raises(ConfigurationError, match="universe"):
+            model_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("field", ["intent pos", "intent neg", "clause pos", "clause neg",
+                                       "effect add", "effect del"])
+    def test_string_in_place_of_atom_list(self, field):
+        doc = self.doc()
+        cap = doc["capabilities"][0]
+        rule = cap["rules"][0]
+        part, key = field.split()
+        place = {
+            "intent": cap["intent"],
+            "clause": rule["condition"]["clauses"][0],
+            "effect": rule["effects"][0],
+        }[part]
+        place[key] = "clean(l1)"
+        want = f"capability {cap['name']}: {field} must be a list of atom names, got 'clean(l1)'"
+        with pytest.raises(ConfigurationError) as err:
+            model_from_json(json.dumps(doc))
+        assert str(err.value) == want
+        universe = AtomUniverse(doc["universe"]["predicates"], doc["universe"]["objects"])
+        with pytest.raises(ConfigurationError):
+            model_from_json(json.dumps(doc), universe)
 
 
 class TestIncrementalLoad:

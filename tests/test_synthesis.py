@@ -1,5 +1,6 @@
 import gc
 import math
+import sys
 from random import Random
 
 import pytest
@@ -456,6 +457,55 @@ def _falling_best_edge_models():
     return u, u.encode([]), m_pess, m_opt
 
 
+def _deep_disagreement_models(k):
+    """k capabilities that climb a chain of 3 steps; only `c00` at its top disagrees.
+
+    Each capability adds the next chain atom (p0, p1, p2) in both models.
+    At the top, `c00` adds p3 in the pessimistic model and p3 or p4 (half
+    each) in the optimistic one; every other step is a no change. So the
+    only reward lies 3 steps from s0, and nodes on the chain keep the value
+    0.0 until a path reaches the top and draws the optimistic successor.
+    """
+    u = small_universe(5)
+    bit = [u.mask_of([f"p{i}(a)"]) for i in range(5)]
+    chain = [u.encode([f"p{i}(a)" for i in range(j)]) for j in range(4)]
+    climb = tuple(
+        ConditionalEffectRule(Condition((literal_of(s),), u.num_atoms), ((1.0, EffectPair(bit[j], 0)),))
+        for j, s in enumerate(chain[:3])
+    )
+    top = Condition((literal_of(chain[3]),), u.num_atoms)
+    split = {
+        "pessimistic": ((1.0, EffectPair(bit[3], 0)),),
+        "optimistic": ((0.5, EffectPair(bit[3], 0)), (0.5, EffectPair(bit[4], 0))),
+    }
+    intent = LiteralConjunction(1, 0)
+
+    def model(flavor):
+        caps = {f"c{i:02d}": Capability(f"c{i:02d}", intent, climb) for i in range(1, k)}
+        caps["c00"] = Capability("c00", intent, climb + (ConditionalEffectRule(top, split[flavor]),))
+        return CapabilityModel(u, caps, flavor)
+
+    return u, chain[0], model("pessimistic"), model("optimistic")
+
+
+def _guard_threshold(iterations):
+    """The least kappa `_exploration_falls` accepts for `iterations`.
+
+    It lies within a few ulps of `float_info.min / sqrt(log 2 / (iterations + 1))`.
+    """
+    kappa = sys.float_info.min / math.sqrt(math.log(2) / (iterations + 1))
+    for _ in range(8):
+        kappa = math.nextafter(kappa, 0.0)
+    for _ in range(16):
+        above = math.nextafter(kappa, math.inf)
+        if not synthesis._exploration_falls(kappa, iterations) and synthesis._exploration_falls(
+            above, iterations
+        ):
+            return above
+        kappa = above
+    raise AssertionError("no threshold near the expected one")
+
+
 class TestSynthesizeSampledReference:
     @pytest.mark.parametrize("depth", [1, 2, 6])
     @pytest.mark.parametrize("run", [1, 2])
@@ -520,6 +570,67 @@ class TestSynthesizeSampledReference:
         for seed in range(3):
             got = _assert_same_as_reference(s0, m1, m2, 200, kappa, depth, seed)
             assert got.score > 0.0
+
+    @pytest.mark.parametrize("k", [1, 2, 17, 22])
+    def test_disagreement_three_steps_deep(self, k):
+        # A run of k iterations is the first k iterations of a longer run
+        # under the same seed, so a 0.0 score there means the root passed its
+        # first k visits at value 0.0; the longer run's score is its later,
+        # positive value.
+        u, s0, m1, m2 = _deep_disagreement_models(k)
+        zero_after_k = 0
+        for seed in range(3):
+            early = _assert_same_as_reference(s0, m1, m2, k, math.sqrt(2), 6, f"deep{k}/{seed}")
+            zero_after_k += early.score == 0.0
+            got = _assert_same_as_reference(s0, m1, m2, 600, math.sqrt(2), 6, f"deep{k}/{seed}")
+            assert got.score > 0.0
+        assert zero_after_k
+
+    @pytest.mark.parametrize("env", ["roads", "blocks"])
+    def test_kappa_that_absorbs_q(self, learned_pairs, env):
+        # At kappa 1e300 each q vanishes in `q + kappa * sqrt(log N / n)`, so
+        # positive-Q and zero-Q edges with equal counts tie on score.
+        starts, pairs = learned_pairs(env, 0)
+        for m_pess, m_opt in pairs:
+            for k, s0 in enumerate(starts):
+                _assert_same_as_reference(s0, m_pess, m_opt, 400, 1e300, 6, f"absorb/{k}")
+        u, s0, m1, m2 = _deep_disagreement_models(17)
+        _assert_same_as_reference(s0, m1, m2, 600, 1e300, 6, "absorb/deep")
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_learned_roads_pairs_at_benchmark_settings(self, learned_pairs, seed):
+        # The roads-sampled benchmark searches with 600 iterations, depth 6
+        # and kappa sqrt(2).
+        starts, pairs = learned_pairs("roads", seed)
+        for m_pess, m_opt in pairs:
+            for k, s0 in enumerate(starts):
+                _assert_same_as_reference(s0, m_pess, m_opt, 600, math.sqrt(2), 6, f"b{seed}/{k}")
+
+    def test_guard_implies_strictly_falling_exploration_terms(self):
+        # N = 1 is left out: log(1) is 0, but a node makes a choice at N = 1
+        # after its first visit only when there is one capability.
+        threshold = _guard_threshold(300)
+        kappas = [0.0, 5e-324, 1e-300, 0.3, math.sqrt(2), 1e6, 1e308]
+        kappas += [threshold, math.nextafter(threshold, 0.0)]
+        accepted = []
+        for kappa in kappas:
+            if not synthesis._exploration_falls(kappa, 300):
+                continue
+            accepted.append(kappa)
+            for big_n in range(2, 301):
+                log_n = math.log(big_n)
+                terms = [kappa * math.sqrt(log_n / c) for c in range(1, big_n + 2)]
+                assert all(a > b for a, b in zip(terms, terms[1:])), (kappa, big_n)
+        assert accepted == [1e-300, 0.3, math.sqrt(2), 1e6, threshold]
+
+    @pytest.mark.parametrize("side", ["above", "below", "overflowing"])
+    def test_kappas_at_the_guard_threshold(self, learned_pairs, side):
+        threshold = _guard_threshold(300)
+        kappa = {"above": threshold, "below": math.nextafter(threshold, 0.0), "overflowing": 1e308}
+        starts, pairs = learned_pairs("roads", 0)
+        for m_pess, m_opt in pairs:
+            for k, s0 in enumerate(starts):
+                _assert_same_as_reference(s0, m_pess, m_opt, 300, kappa[side], 6, f"{side}/{k}")
 
     def test_call_leaves_no_reference_cycles(self, learned_pairs):
         # Garbage in cycles waits for the collector and raises peak memory.
